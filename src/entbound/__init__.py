@@ -9,6 +9,7 @@ solvers.
 __version__ = "0.1.0"
 
 from .errors import (
+    ConvergenceError,
     DimensionMismatchError,
     DomainViolationError,
     EntboundError,

@@ -110,16 +110,14 @@ def _cmd_ree_family(args) -> int:
 def _cmd_ree_verify(args) -> int:
     rho = _load_matrix(args.rho)
     sigma = _load_matrix(args.sigma_star)
-    cert = verify_cps(rho, sigma, seed=args.seed, tol=args.tol)
+    cert = verify_cps(rho, sigma, tol=args.tol)
     _emit(
         {
             "passed": cert.passed,
-            "seed": args.seed,
             "anchor_value": cert.anchor_value,
             "max_violation": cert.max_violation,
             "form_matched": cert.form_matched,
             "anchor_singular": cert.anchor_singular,
-            "samples": cert.samples,
             "phi_hat": to_json_dict(cert.phi_hat),
         },
         args.out,
@@ -149,17 +147,15 @@ def _cmd_rains_converse(args) -> int:
 def _cmd_rains_verify(args) -> int:
     rho = _load_matrix(args.rho)
     tau = _load_matrix(args.tau_star)
-    cert = verify_rains_min(rho, tau, seed=args.seed, battery_tol=args.tol)
+    cert = verify_rains_min(rho, tau, dual_tol=args.tol)
     _emit(
         {
             "passed": cert.passed,
-            "seed": args.seed,
             "norm_ok": cert.norm_ok,
             "form_ok": cert.form_ok,
-            "battery_ok": cert.battery_ok,
+            "dual_ok": cert.dual_ok,
             "anchor_value": cert.anchor_value,
             "max_violation": cert.max_violation,
-            "samples": cert.samples,
         },
         args.out,
     )
@@ -272,9 +268,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bits=False):
+    def add_common(p, bits=False, seed=True):
         p.add_argument("--out", help="write the JSON result here instead of stdout")
-        p.add_argument("--seed", type=int, default=0)
+        if seed:
+            p.add_argument("--seed", type=int, default=0)
         if bits:
             p.add_argument("--bits", action="store_true", help="report in bits (divide by log 2)")
 
@@ -303,8 +300,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = ree_sub.add_parser("verify", help="check that sigma* minimizes for rho")
     p.add_argument("--rho", required=True)
     p.add_argument("--sigma-star", required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="battery violation tolerance")
-    add_common(p)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="PASS bound on max_violation, the certified gap "
+        "lambda_max(phi_hat + B^Gamma) - Tr[phi_hat sigma*]",
+    )
+    add_common(p, seed=False)
     p.set_defaults(fn=_cmd_ree_verify)
 
     rains = sub.add_parser("rains", help="Rains-set functionals, converse, verification")
@@ -325,8 +328,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = rains_sub.add_parser("verify", help="check the Rains minimization criterion")
     p.add_argument("--rho", required=True)
     p.add_argument("--tau-star", required=True)
-    p.add_argument("--tol", type=float, default=1e-8, help="battery violation tolerance")
-    add_common(p)
+    p.add_argument(
+        "--tol",
+        type=float,
+        default=1e-8,
+        help="dual_ok bound on max_violation, the certified gap "
+        "||phi_hat^Gamma||_op - Tr[phi_hat tau*]",
+    )
+    add_common(p, seed=False)
     p.set_defaults(fn=_cmd_rains_verify)
 
     p = rains_sub.add_parser("closed-form", help="closed-form Rains bound")

@@ -39,3 +39,7 @@ class NonInvertibleKernelError(EntboundError):
 
 class PreconditionError(EntboundError):
     """A documented operation precondition does not hold."""
+
+
+class ConvergenceError(EntboundError):
+    """An iterative method stopped at its iteration cap without meeting its tolerance."""

@@ -22,7 +22,6 @@ from .linalg import (
     HermitianMatrix,
     from_json_dict,
     hermitian,
-    identity,
     partial_transpose,
     random_state,
     support_projector,
@@ -311,23 +310,3 @@ def sample_ppt_states(
     eye = np.eye(n) / n
     out = (1.0 - t)[:, None, None] * s + t[:, None, None] * eye[None, :, :]
     return out
-
-
-def sample_pure_products_2x2(points: int = 6) -> np.ndarray:
-    """Coarse grid of pure product states |a⟩⟨a| ⊗ |b⟩⟨b| for dims (2, 2)."""
-    thetas = np.linspace(0.0, np.pi, points)
-    phis = np.linspace(0.0, 2 * np.pi, points, endpoint=False)
-    kets = []
-    for th in thetas:
-        for ph in phis:
-            kets.append(np.array([np.cos(th / 2), np.exp(1j * ph) * np.sin(th / 2)]))
-    states = []
-    for a in kets:
-        for b in kets:
-            v = np.kron(a, b)
-            states.append(np.outer(v, v.conj()))
-    return np.asarray(states)
-
-
-def ppt_identity_state(dims: tuple[int, int]) -> HermitianMatrix:
-    return identity(dims) * (1.0 / (dims[0] * dims[1]))

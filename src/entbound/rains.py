@@ -30,7 +30,7 @@ from .linalg import (
     trace_norm,
 )
 from .divergences import log_negativity, von_neumann_entropy, xlogx
-from .ppt import RainsCertificate, SupportingFunctional, is_ppt, sample_ppt_states
+from .ppt import RainsCertificate, SupportingFunctional, is_ppt
 
 
 def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
@@ -181,28 +181,28 @@ class RainsMinCertificate:
     passed: bool
     norm_ok: bool
     form_ok: bool
-    battery_ok: bool
+    dual_ok: bool
     phi_hat: HermitianMatrix
     anchor_value: float
     max_violation: float
-    samples: int
 
 
 def verify_rains_min(
     rho: HermitianMatrix,
     tau_star: HermitianMatrix,
-    samples: int = 10_000,
-    seed: int = 0,
     form_tol: float = 1e-7,
-    battery_tol: float = 1e-8,
+    dual_tol: float = 1e-8,
 ) -> RainsMinCertificate:
     """Check the Rains minimization criterion Tr[L_τ*(ρ) τ] ≤ 1 over T.
 
     Requires ‖τ*^Γ‖₁ = 1; the induced functional φ̂ = L_τ*(ρ) must match the
     projector-pair certificate form in the eigenbasis of τ*^Γ (identity on the
     positive eigenspace, minus identity on the negative one, a contraction on
-    the nullspace, no cross terms), and a sampled battery over T must respect
-    the inequality.
+    the nullspace, no cross terms). The inequality itself is certified by
+    weak duality: every τ ∈ T has Tr[φ̂τ] = Tr[φ̂^Γ τ^Γ] ≤ ‖φ̂^Γ‖_op, so
+    ``max_violation`` = ‖φ̂^Γ‖_op - Tr[φ̂τ*] is a certified upper bound on
+    max over T of Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it is at most
+    ``dual_tol``.
     """
     if abs(rho.trace() - 1.0) > 1e-9 or min_eigenvalue(rho) < -1e-9:
         raise PreconditionError("rho must be a unit-trace PSD state")
@@ -218,7 +218,8 @@ def verify_rains_min(
     anchor_value = trace_inner_product(phi_hat, tau_star)
 
     w, v, pos, neg, null = _signed_eigenspaces(tpt)
-    b = v.conj().T @ partial_transpose(phi_hat).mat @ v
+    phi_hat_pt = partial_transpose(phi_hat).mat
+    b = v.conj().T @ phi_hat_pt @ v
     form_ok = True
     npos, nneg = int(pos.sum()), int(neg.sum())
     if npos and np.linalg.norm(b[np.ix_(pos, pos)] - np.eye(npos)) > form_tol:
@@ -233,28 +234,17 @@ def verify_rains_min(
         if np.max(np.abs(np.linalg.eigvalsh((q_block + q_block.conj().T) / 2))) > 1.0 + form_tol:
             form_ok = False
 
-    rng = np.random.default_rng(seed)
-    batches = [
-        sample_T(tau_star.dims, samples, rng),
-        sample_ppt_states(tau_star.dims, max(64, samples // 16), rng),
-        tau_star.mat[None, :, :],
-        np.zeros((1, tau_star.n, tau_star.n), dtype=complex),
-    ]
-    max_violation = -np.inf
-    for batch in batches:
-        vals = np.einsum("ij,kji->k", phi_hat.mat, batch).real
-        max_violation = max(max_violation, float(np.max(vals)) - anchor_value)
-    battery_ok = max_violation <= battery_tol
+    max_violation = float(np.max(np.abs(np.linalg.eigvalsh(phi_hat_pt)))) - anchor_value
+    dual_ok = max_violation <= dual_tol
 
     return RainsMinCertificate(
-        passed=bool(norm_ok and form_ok and battery_ok),
+        passed=bool(norm_ok and form_ok and dual_ok),
         norm_ok=bool(norm_ok),
         form_ok=bool(form_ok),
-        battery_ok=bool(battery_ok),
+        dual_ok=bool(dual_ok),
         phi_hat=phi_hat,
         anchor_value=anchor_value,
         max_violation=max_violation,
-        samples=samples,
     )
 
 

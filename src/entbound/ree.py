@@ -36,8 +36,6 @@ from .ppt import (
     functional_from_json_dict,
     functional_to_json_dict,
     pt_zero_subspace,
-    sample_ppt_states,
-    sample_pure_products_2x2,
 )
 
 X_MAX_CAP = 1e6
@@ -184,22 +182,47 @@ class CpsCertificate:
     form_matched: bool
     form_coefficients: np.ndarray | None
     anchor_singular: bool
-    samples: int
+
+
+def _farthest_ppt_on_segment(
+    sigma_star: HermitianMatrix, target: np.ndarray
+) -> HermitianMatrix:
+    """Last PPT state on the segment from σ* toward the state ``target``.
+
+    The PPT states on a segment from a PPT start form an interval, so
+    bisection on the smallest partial-transpose eigenvalue finds its far end.
+    """
+    dims = sigma_star.dims
+    a = partial_transpose(sigma_star).mat
+    b = partial_transpose(hermitian(target, dims)).mat
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if float(np.linalg.eigvalsh((1.0 - mid) * a + mid * b)[0]) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hermitian((1.0 - lo) * sigma_star.mat + lo * target, dims)
 
 
 def verify_cps(
     rho: HermitianMatrix,
     sigma_star: HermitianMatrix,
-    samples: int = 10_000,
-    seed: int = 0,
     tol: float = 1e-8,
 ) -> CpsCertificate:
     """Check the minimization criterion Tr[φ̂σ] ≤ Tr[φ̂σ*] with φ̂ = L_σ*(ρ).
 
-    The verification battery combines the structural certificate (φ̂ matches
-    the PPT hyperplane form: 1 - φ̂ has a PSD partial transpose supported on
-    the zero eigenspace of σ*^Γ), random PPT samples, and for dims (2, 2) a
-    coarse grid of pure product states. For a singular anchor the criterion
+    The check is a weak-duality certificate: for every B ⪰ 0 and every PPT
+    state σ, Tr[φ̂σ] ≤ Tr[(φ̂ + B^Γ)σ] ≤ λmax(φ̂ + B^Γ). B is the PSD part of
+    (1 - φ̂)^Γ compressed onto the zero eigenspace of σ*^Γ (zero when that
+    space is empty), which is exact when φ̂ has the PPT hyperplane form.
+    ``max_violation`` = λmax(φ̂ + B^Γ) - Tr[φ̂σ*] is therefore a certified
+    upper bound on max over PPT σ of Tr[φ̂σ] - Tr[φ̂σ*], and PASS means it is
+    at most ``tol``. On FAIL, ``violator`` is the farthest PPT state on the
+    segment from σ* toward the top eigenvector of φ̂ + B^Γ, when that state
+    violates by more than ``tol``. ``form_matched`` reports the structural
+    match (1 - φ̂ has a PSD partial transpose supported on the zero
+    eigenspace) for full-rank anchors. For a singular anchor the criterion
     is sufficient only.
     """
     p = support_projector(sigma_star)
@@ -213,40 +236,35 @@ def verify_cps(
     phi_hat = frechet_apply(kernel, rho)
     anchor_value = trace_inner_product(phi_hat, sigma_star)
 
-    # Structural match against the PPT hyperplane form (full-rank anchors).
+    delta_pt = partial_transpose(hermitian(np.eye(n) - phi_hat.mat, sigma_star.dims)).mat
+    zero_vecs = pt_zero_subspace(sigma_star)
+    b = np.zeros((n, n), dtype=complex)
     form_matched = False
     form_coefficients = None
-    if not anchor_singular:
-        delta = hermitian(np.eye(n) - phi_hat.mat, sigma_star.dims)
-        delta_pt = partial_transpose(delta)
-        zero_vecs = pt_zero_subspace(sigma_star)
-        if zero_vecs.size:
+    if zero_vecs.size:
+        comp = zero_vecs.conj().T @ delta_pt @ zero_vecs
+        w, v = np.linalg.eigh((comp + comp.conj().T) / 2)
+        u = zero_vecs @ v
+        b = (u * np.clip(w, 0.0, None)) @ u.conj().T
+        # Structural match against the PPT hyperplane form (full-rank anchors).
+        if not anchor_singular:
             pz = zero_vecs @ zero_vecs.conj().T
-            supported = np.linalg.norm(pz @ delta_pt.mat @ pz - delta_pt.mat) <= 1e-7
-            w = np.linalg.eigvalsh(delta_pt.mat)
-            psd = w[0] >= -1e-9
-            if supported and psd:
+            supported = np.linalg.norm(pz @ delta_pt @ pz - delta_pt) <= 1e-7
+            if supported and np.linalg.eigvalsh(delta_pt)[0] >= -1e-9:
                 form_matched = True
-                comp = zero_vecs.conj().T @ delta_pt.mat @ zero_vecs
-                form_coefficients = np.linalg.eigvalsh((comp + comp.conj().T) / 2)
+                form_coefficients = w
 
-    rng = np.random.default_rng(seed)
-    batteries = [sample_ppt_states(sigma_star.dims, samples, rng)]
-    if sigma_star.dims == (2, 2):
-        batteries.append(sample_pure_products_2x2())
-    batteries.append(np.eye(n)[None, :, :] / n)
-
-    max_violation = -np.inf
-    violator = None
-    for batch in batteries:
-        vals = np.einsum("ij,kji->k", phi_hat.mat, batch).real
-        k = int(np.argmax(vals))
-        violation = float(vals[k]) - anchor_value
-        if violation > max_violation:
-            max_violation = violation
-            if violation > tol:
-                violator = hermitian(batch[k], sigma_star.dims)
+    dual = phi_hat.mat + partial_transpose(hermitian(b, sigma_star.dims)).mat
+    w_dual, v_dual = np.linalg.eigh(dual)
+    max_violation = float(w_dual[-1]) - anchor_value
     passed = max_violation <= tol
+
+    violator = None
+    if not passed:
+        top = v_dual[:, -1]
+        candidate = _farthest_ppt_on_segment(sigma_star, np.outer(top, top.conj()))
+        if trace_inner_product(phi_hat, candidate) - anchor_value > tol:
+            violator = candidate
     return CpsCertificate(
         passed=passed,
         phi_hat=phi_hat,
@@ -256,7 +274,6 @@ def verify_cps(
         form_matched=form_matched,
         form_coefficients=form_coefficients,
         anchor_singular=anchor_singular,
-        samples=samples,
     )
 
 

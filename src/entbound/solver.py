@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotAStateError, NotPSDError, PreconditionError
+from .errors import ConvergenceError, NotAStateError, NotPSDError, PreconditionError
 from .linalg import (
     HermitianMatrix,
     hermitian,
@@ -143,16 +143,37 @@ def _project_T_raw(mat: np.ndarray, dims: tuple[int, int], config: SolverConfig)
     )
 
 
+def _require_feasible(feasibility: float, tol_feas: float, set_name: str) -> None:
+    # _dykstra only stops short of tol_feas at its cycle cap.
+    if feasibility > tol_feas:
+        raise ConvergenceError(
+            f"projection onto {set_name} hit the Dykstra cycle cap with feasibility "
+            f"residual {feasibility:.3e} > tol_feas = {tol_feas:.1e}"
+        )
+
+
 def project_P(a: HermitianMatrix, config: SolverConfig | None = None) -> HermitianMatrix:
-    """Frobenius projection onto the PPT states (Dykstra over three sets)."""
+    """Frobenius projection onto the PPT states (Dykstra over three sets).
+
+    Raises ConvergenceError when the output's feasibility residual exceeds
+    ``config.tol_feas``.
+    """
     cfg = config or SolverConfig()
-    return hermitian(_project_P_raw(a.mat, a.dims, cfg), a.dims)
+    out = _project_P_raw(a.mat, a.dims, cfg)
+    _require_feasible(_ppt_feasibility(out, a.dims), cfg.tol_feas, "the PPT set")
+    return hermitian(out, a.dims)
 
 
 def project_T(a: HermitianMatrix, config: SolverConfig | None = None) -> HermitianMatrix:
-    """Frobenius projection onto the Rains set (Dykstra over two sets)."""
+    """Frobenius projection onto the Rains set (Dykstra over two sets).
+
+    Raises ConvergenceError when the output's feasibility residual exceeds
+    ``config.tol_feas``.
+    """
     cfg = config or SolverConfig()
-    return hermitian(_project_T_raw(a.mat, a.dims, cfg), a.dims)
+    out = _project_T_raw(a.mat, a.dims, cfg)
+    _require_feasible(_t_feasibility(out, a.dims), cfg.tol_feas, "the Rains set")
+    return hermitian(out, a.dims)
 
 
 def _log_divided_differences(w: np.ndarray) -> np.ndarray:

@@ -159,7 +159,7 @@ def test_criterion_4_rains_converse():
     res = rains_converse(tau_bell, rains_functional(tau_bell))
     assert res.accepted
     accepted += 1
-    verified &= verify_rains_min(res.rho, tau_bell, samples=4000).passed
+    verified &= verify_rains_min(res.rho, tau_bell).passed
 
     rng = np.random.default_rng(404)
     for _ in range(12):
@@ -169,7 +169,7 @@ def test_criterion_4_rains_converse():
         out = rains_converse(tau, rains_functional(tau))
         if out.accepted:
             accepted += 1
-            verified &= verify_rains_min(out.rho, tau, samples=4000).passed
+            verified &= verify_rains_min(out.rho, tau).passed
         else:
             refused += 1
             if pt_min < -1e-8:

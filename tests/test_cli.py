@@ -44,7 +44,9 @@ class TestPipeline:
             capsys, "ree", "verify", "--rho", str(rho), "--sigma-star", str(s)
         )
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        payload = json.loads(out)
+        assert payload["passed"] is True
+        assert "seed" not in payload and "samples" not in payload
 
     def test_rains_pipeline(self, tmp_path, capsys):
         tau = tmp_path / "tau.json"
@@ -57,7 +59,9 @@ class TestPipeline:
         ) == 0
         code, out = run(capsys, "rains", "verify", "--rho", str(rho), "--tau-star", str(tau))
         assert code == 0
-        assert json.loads(out)["passed"] is True
+        payload = json.loads(out)
+        assert payload["passed"] is True and payload["dual_ok"] is True
+        assert "seed" not in payload and "samples" not in payload
         code, out = run(
             capsys,
             "rains", "closed-form",

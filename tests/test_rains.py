@@ -142,7 +142,7 @@ class TestRainsConverse:
         assert res.accepted
         assert np.linalg.norm(res.rho.mat - bell_state().mat) < 1e-10
         assert res.rho.trace() == pytest.approx(1.0, abs=1e-9)
-        cert = verify_rains_min(res.rho, tau, samples=2000)
+        cert = verify_rains_min(res.rho, tau)
         assert cert.passed
         closed = rains_closed_form(tau, f, res.rho)
         assert closed == pytest.approx(np.log(2), abs=1e-9)
@@ -175,7 +175,7 @@ class TestRainsConverse:
 class TestVerifyRainsMin:
     def test_scaled_anchor_fails_norm(self):
         tau = hermitian(bell_state().mat / 2, (2, 2))
-        cert = verify_rains_min(bell_state(), hermitian(0.9 * tau.mat, (2, 2)), samples=500)
+        cert = verify_rains_min(bell_state(), hermitian(0.9 * tau.mat, (2, 2)))
         assert not cert.norm_ok
         assert not cert.passed
 
@@ -185,12 +185,34 @@ class TestVerifyRainsMin:
         rho = hermitian(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
         with pytest.raises(Exception):
             # rho has weight outside supp(tau*): support violation.
-            verify_rains_min(rho, tau, samples=100)
+            verify_rains_min(rho, tau)
 
     def test_bell_pass(self):
         tau = hermitian(bell_state().mat / 2, (2, 2))
-        cert = verify_rains_min(bell_state(), tau, samples=2000)
-        assert cert.passed and cert.norm_ok and cert.form_ok and cert.battery_ok
+        cert = verify_rains_min(bell_state(), tau)
+        assert cert.passed and cert.norm_ok and cert.form_ok and cert.dual_ok
+
+    def test_certificate_bounds_sampled_battery(self):
+        # Weak duality: the certified max_violation bounds the violation of
+        # every element of T, whether or not the anchor minimizes for rho.
+        gen = np.random.default_rng(32)
+        for seed in range(1, 8):
+            dims = (2, 2) if seed % 2 else (2, 3)
+            tau = random_boundary_state(dims, seed)
+            res = rains_converse(tau, rains_functional(tau))
+            assert res.accepted
+            other = scaled_to_sphere(random_positive_state(dims, gen))
+            pairs = (
+                (res.rho, tau, True),
+                (random_positive_state(dims, gen), tau, False),
+                (random_positive_state(dims, gen), other, False),
+            )
+            for rho, anchor, minimized in pairs:
+                cert = verify_rains_min(rho, anchor)
+                batch = sample_T(dims, 2000, gen)
+                vals = np.einsum("ij,kji->k", cert.phi_hat.mat, batch).real
+                assert cert.max_violation >= float(np.max(vals)) - cert.anchor_value - 1e-12
+                assert cert.passed == minimized
 
 
 class TestRainsVsLn:

@@ -15,7 +15,9 @@ from entbound import (
     ppt_functional,
     random_boundary_state,
     ree_closed_form,
+    random_state,
     relative_entropy,
+    sample_ppt_states,
     trace_inner_product,
     verify_cps,
 )
@@ -112,7 +114,7 @@ class TestClosedForm:
 class TestVerifyCps:
     def test_interior_anchor_trivial_pass(self, rng):
         sigma = hermitian(np.eye(4) / 4, (2, 2))
-        cert = verify_cps(sigma, sigma, samples=2000)
+        cert = verify_cps(sigma, sigma)
         assert cert.passed
         # phi_hat is the constant functional there.
         assert np.linalg.norm(cert.phi_hat.mat - np.eye(4)) < 1e-10
@@ -127,10 +129,49 @@ class TestVerifyCps:
         assert is_boundary_of_P(bell_family.sigma_star)
 
     def test_bell_vs_maximally_mixed_fails(self):
-        cert = verify_cps(bell_state(), hermitian(np.eye(4) / 4, (2, 2)), samples=2000)
+        cert = verify_cps(bell_state(), hermitian(np.eye(4) / 4, (2, 2)))
         assert not cert.passed
         assert cert.violator is not None
         assert cert.max_violation > 1e-3
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_mixed_anchor_fails_with_ppt_violator(self, seed):
+        # Mixing the anchor toward 1/n moves it into the interior of the PPT
+        # set, where it minimizes only itself; a sampled battery missed this.
+        sigma = random_boundary_state((2, 3), seed)
+        fam = build_family(sigma, ppt_functional(sigma))
+        rho = fam.state(fam.x_max / 2)
+        mixed = hermitian((1 - 1e-4) * sigma.mat + 1e-4 * np.eye(6) / 6, (2, 3))
+        cert = verify_cps(rho, mixed)
+        assert not cert.passed
+        assert cert.violator is not None
+        assert is_ppt(cert.violator)
+        violation = trace_inner_product(cert.phi_hat, cert.violator) - cert.anchor_value
+        assert violation > 1e-8
+        assert violation <= cert.max_violation
+
+    def test_certificate_bounds_sampled_battery(self):
+        # Weak duality: the certified max_violation bounds the violation of
+        # every PPT state, whether or not the anchor minimizes for rho.
+        gen = np.random.default_rng(31)
+        for seed in range(1, 8):
+            dims = (2, 2) if seed % 2 else (2, 3)
+            n = dims[0] * dims[1]
+            sigma = random_boundary_state(dims, seed)
+            fam = build_family(sigma, ppt_functional(sigma))
+            member = fam.state(fam.x_max * gen.uniform(0.1, 1.0))
+            mixed = hermitian((1 - 1e-3) * sigma.mat + 1e-3 * np.eye(n) / n, dims)
+            pairs = (
+                (member, sigma, True),
+                (random_state(dims, gen), sigma, False),
+                (member, mixed, False),
+            )
+            for rho, anchor, supporting in pairs:
+                cert = verify_cps(rho, anchor)
+                batch = sample_ppt_states(dims, 2000, gen)
+                vals = np.einsum("ij,kji->k", cert.phi_hat.mat, batch).real
+                assert cert.max_violation >= float(np.max(vals)) - cert.anchor_value - 1e-12
+                assert cert.passed == supporting
 
     def test_support_violation(self):
         ket = np.zeros(4)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entbound import (
+    ConvergenceError,
     PreconditionError,
     SolverConfig,
     hermitian,
@@ -15,6 +16,7 @@ from entbound import (
     project_P,
     project_T,
     random_boundary_state,
+    random_hermitian,
     random_state,
     build_family,
     ree_closed_form,
@@ -67,6 +69,19 @@ class TestProjectT:
     def test_zero_is_fixed(self):
         out = project_T(hermitian(np.zeros((4, 4)), (2, 2)))
         assert np.allclose(out.mat, 0.0)
+
+
+class TestProjectionCap:
+    def test_infeasible_output_raises(self):
+        # At the default cycle cap, this input leaves P's output with a PT
+        # eigenvalue near -4.6e-5 and T's with ||X^Gamma||_1 - 1 near 2.9e-4.
+        gen = np.random.default_rng(0)
+        for _ in range(3):
+            x = random_hermitian((3, 3), gen)
+        with pytest.raises(ConvergenceError):
+            project_P(x)
+        with pytest.raises(ConvergenceError):
+            project_T(x)
 
 
 class TestMinimizeRee:
