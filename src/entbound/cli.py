@@ -2,10 +2,11 @@
 
 Every subcommand reads and writes the repo-wide JSON matrix schema
 (``{"dims": [n1, n2], "re": [[...]], "im": [[...]]}``). Exit codes: 0 on
-success or PASS, 1 on FAIL or refusal, 2 on input errors. All randomness is
-seeded and the seeds are echoed in the output, so identical inputs produce
-byte-identical JSON apart from nothing (the version field is constant per
-release).
+success or PASS, 1 on FAIL or refusal, 2 on input errors. Only the
+subcommands that draw random inputs (``boundary-sample``, ``audit``) take
+``--seed``, and they echo it in the output; every computation is otherwise
+deterministic, so identical invocations produce byte-identical JSON (the
+version field is constant per release).
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from .rains import (
     rains_functional,
     verify_rains_min,
 )
-from .solver import SolverConfig, maximize_linear, minimize_ree
+from .solver import maximize_linear, minimize_ree
 
 
 def _emit(obj: dict, out: str | None) -> None:
@@ -173,13 +174,11 @@ def _cmd_rains_closed_form(args) -> int:
 
 def _cmd_compare(args) -> int:
     rho = _load_matrix(args.rho)
-    config = SolverConfig(seed=args.seed)
-    ep = minimize_ree(rho, "PPT", config)
-    rb = minimize_ree(rho, "RAINS_T", config, extra_candidates=[ep.sigma_hat])
+    ep = minimize_ree(rho, "PPT")
+    rb = minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
     ln = log_negativity(rho)
     _emit(
         {
-            "seed": args.seed,
             "ree": _scale(ep.value, args.bits),
             "rains": _scale(rb.value, args.bits),
             "log_negativity": _scale(ln, args.bits),
@@ -191,8 +190,8 @@ def _cmd_compare(args) -> int:
             "solver": {
                 "ree_status": ep.status,
                 "rains_status": rb.status,
-                "ree_residual": ep.residual,
-                "rains_residual": rb.residual,
+                "ree_cert_gap": ep.cert_gap,
+                "rains_cert_gap": rb.cert_gap,
             },
         },
         args.out,
@@ -223,9 +222,8 @@ def _cmd_audit(args) -> int:
 
 def _cmd_hppt(args) -> int:
     m = _load_matrix(args.m)
-    res = maximize_linear(m, SolverConfig(seed=args.seed), set_tag="PPT")
+    res = maximize_linear(m, set_tag="PPT")
     payload = {
-        "seed": args.seed,
         "value": res.value,
         "gap": res.gap,
         "status": res.status,
@@ -268,7 +266,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"entbound {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, bits=False, seed=True):
+    def add_common(p, bits=False, seed=False):
         p.add_argument("--out", help="write the JSON result here instead of stdout")
         if seed:
             p.add_argument("--seed", type=int, default=0)
@@ -277,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("boundary-sample", help="sample a PPT boundary state")
     p.add_argument("--dims", required=True)
-    add_common(p)
+    add_common(p, seed=True)
     p.set_defaults(fn=_cmd_boundary_sample)
 
     p = sub.add_parser("ppt-functional", help="supporting functional at a boundary state")
@@ -307,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="PASS bound on max_violation, the certified gap "
         "lambda_max(phi_hat + B^Gamma) - Tr[phi_hat sigma*]",
     )
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(fn=_cmd_ree_verify)
 
     rains = sub.add_parser("rains", help="Rains-set functionals, converse, verification")
@@ -335,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="dual_ok bound on max_violation, the certified gap "
         "||phi_hat^Gamma||_op - Tr[phi_hat tau*]",
     )
-    add_common(p, seed=False)
+    add_common(p)
     p.set_defaults(fn=_cmd_rains_verify)
 
     p = rains_sub.add_parser("closed-form", help="closed-form Rains bound")
@@ -355,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = audit_sub.add_parser("qubit-equality", help="Rains bound vs REE when one side is a qubit")
     p.add_argument("--dims", required=True)
     p.add_argument("--samples", type=int, default=20)
-    add_common(p)
+    add_common(p, seed=True)
     p.set_defaults(fn=_cmd_audit)
 
     p = sub.add_parser("hppt", help="maximize Tr[M sigma] over PPT states")

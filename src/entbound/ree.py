@@ -39,7 +39,6 @@ from .ppt import (
 )
 
 X_MAX_CAP = 1e6
-_PSD_BISECT_TOL = 1e-11
 
 
 @dataclass(frozen=True)
@@ -86,9 +85,9 @@ def build_family(
 ) -> StateFamily:
     """Construct the family of states minimized by σ*.
 
-    The direction is L‡_σ*(φ); x_max is located by doubling then bisection on
-    the smallest eigenvalue of ρ(x) (the PSD segment through σ* is an
-    interval). A singular anchor requires φ supported inside supp σ* and caps
+    The direction is L‡_σ*(φ); x_max = 1/λmax(S(σ* - L‡_σ*(φ))S), where S is
+    the pseudo-inverse square root of σ*, or X_MAX_CAP when ρ(x) stays PSD
+    that far. A singular anchor requires φ supported inside supp σ* and caps
     x_max at 1.
     """
     _check_anchored(sigma_star, functional)
@@ -110,26 +109,12 @@ def build_family(
     direction = frechet_pinv_apply(kernel, phi)
     direction_psd = float(np.linalg.eigvalsh(direction.mat)[0]) >= -1e-10
 
-    def min_eig(x: float) -> float:
-        m = (1.0 - x) * sigma_star.mat + x * direction.mat
-        return float(np.linalg.eigvalsh(m)[0])
-
-    hi = 1.0
-    while min_eig(hi) >= -_PSD_BISECT_TOL and hi < X_MAX_CAP:
-        hi *= 2.0
-    if min_eig(hi) >= -_PSD_BISECT_TOL:
-        x_max = float(hi)
-    else:
-        lo = 0.0
-        for _ in range(100):
-            mid = (lo + hi) / 2
-            if min_eig(mid) >= -_PSD_BISECT_TOL:
-                lo = mid
-            else:
-                hi = mid
-        x_max = lo
-    if x_max <= 0.0:
-        raise PreconditionError("family is empty: rho(x) leaves the PSD cone immediately")
+    # With S = σ*^{-1/2} on supp σ* (where D = L‡(φ) lives) and M = P - SDS,
+    # ρ(x) = σ*^{1/2} (P - xM) σ*^{1/2}, which is PSD exactly for x·λmax(M) <= 1.
+    w = kernel.basis.eigenvalues[kernel.mask]
+    v = kernel.basis.eigenvectors[:, kernel.mask] / np.sqrt(w)
+    lam = 1.0 - float(np.linalg.eigvalsh(v.conj().T @ direction.mat @ v)[0])
+    x_max = 1.0 / lam if lam > 1.0 / X_MAX_CAP else X_MAX_CAP
 
     cap_applied = not full_rank
     if cap_applied:

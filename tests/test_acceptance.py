@@ -131,7 +131,7 @@ def test_criterion_3_converse_forward_consistency():
             for frac in (0.3, 0.6, 0.9):
                 x = frac * fam.x_max
                 closed = ree_closed_form(fam, x)
-                res = minimize_ree(fam.state(x), "PPT", residual_samples=64)
+                res = minimize_ree(fam.state(x), "PPT")
                 worst_val = max(worst_val, abs(res.value - closed))
                 worst_iter = max(
                     worst_iter, np.linalg.norm(res.sigma_hat.mat - sigma.mat)
@@ -199,10 +199,8 @@ def qubit_audit_records():
             if is_ppt(rho):
                 continue
             done += 1
-            ep = minimize_ree(rho, "PPT", residual_samples=64)
-            rb = minimize_ree(
-                rho, "RAINS_T", residual_samples=64, extra_candidates=[ep.sigma_hat]
-            )
+            ep = minimize_ree(rho, "PPT")
+            rb = minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
             records.append(
                 {
                     "dims": dims,
@@ -229,8 +227,8 @@ def test_criterion_5_qubit_equality(qubit_audit_records):
         if is_ppt(rho):
             continue
         done += 1
-        ep = minimize_ree(rho, "PPT", residual_samples=64)
-        rb = minimize_ree(rho, "RAINS_T", residual_samples=64, extra_candidates=[ep.sigma_hat])
+        ep = minimize_ree(rho, "PPT")
+        rb = minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
         control_gaps.append(ep.value - rb.value)
     elapsed = time.monotonic() - t0
     ok = max_gap < 5e-4

@@ -101,6 +101,9 @@ class TestCompare:
         d = json.loads(out)
         for key in ("ree", "rains", "log_negativity"):
             assert d[key] == pytest.approx(np.log(2), abs=2e-4)
+        assert d["solver"]["ree_cert_gap"] <= 1e-4
+        assert d["solver"]["rains_cert_gap"] <= 1e-4
+        assert "ree_residual" not in d["solver"] and "seed" not in d
 
     def test_bits_flag(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"
@@ -118,6 +121,7 @@ class TestMisc:
         d = json.loads(out)
         assert d["value"] == pytest.approx(0.5, abs=1e-5)
         assert "certificate" in d
+        assert "seed" not in d
 
     def test_divergence_relent(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"
@@ -129,6 +133,18 @@ class TestMisc:
         )
         assert code == 0
         assert json.loads(out)["value"] == pytest.approx(np.log(2), abs=1e-12)
+
+    @pytest.mark.parametrize("command", ["divergence", "compare", "hppt"])
+    def test_seed_only_where_read(self, tmp_path, capsys, command):
+        rho = write_matrix(tmp_path / "rho.json", bell_state())
+        argv = {
+            "divergence": ["--kind", "relent", "--rho", rho, "--sigma", rho],
+            "compare": ["--rho", rho],
+            "hppt": ["--m", rho],
+        }[command]
+        with pytest.raises(SystemExit) as exc:
+            main([command, *argv, "--seed", "5"])
+        assert exc.value.code == 2
 
     def test_audit_small(self, tmp_path, capsys):
         code, out = run(

@@ -22,6 +22,7 @@ from entbound import (
     ree_closed_form,
     trace_norm,
 )
+from entbound.solver import CERT_TOL, _ppt_feasibility
 from conftest import bell_cps_anchor, bell_state
 
 
@@ -125,18 +126,63 @@ class TestMinimizeRee:
         # (guards against projection inexactness posing as local minima).
         for _ in range(20):
             rho = random_state((2, 2), rng)
-            main = minimize_ree(rho, "PPT", residual_samples=64)
+            main = minimize_ree(rho, "PPT")
             best = np.inf
             for _ in range(10):
                 raw = random_state((2, 2), rng)
                 start = hermitian(0.9 * raw.mat + 0.1 * np.eye(4) / 4, (2, 2))
-                res = minimize_ree(rho, "PPT", residual_samples=16, start=start)
+                res = minimize_ree(rho, "PPT", start=start)
                 best = min(best, res.value)
             assert abs(main.value - best) < 1e-5
 
     def test_rejects_non_state(self, rng):
         with pytest.raises(Exception):
             minimize_ree(hermitian(np.eye(4), (2, 2)), "PPT")
+
+
+def _family(anchor):
+    return build_family(anchor, ppt_functional(anchor))
+
+
+class TestStatus:
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_iteration_cap_short_of_optimum_is_nonconverged(self, seed):
+        fam = _family(random_boundary_state((3, 3), seed))
+        x = fam.x_max / 2
+        res = minimize_ree(fam.state(x), "PPT", SolverConfig(max_iters=3))
+        assert res.value - ree_closed_form(fam, x) > 1e-4
+        assert res.cert_gap > CERT_TOL
+        assert res.status == "NONCONVERGED"
+
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
+    def test_infeasible_iterate_is_nonconverged(self, dims):
+        rho = random_state(dims, np.random.default_rng(1))
+        res = minimize_ree(rho, "PPT", SolverConfig(dykstra_iters=1))
+        assert _ppt_feasibility(res.sigma_hat.mat, dims) > 1e-3
+        assert res.status == "NONCONVERGED"
+
+    def test_infeasible_candidate_with_zero_gap_is_nonconverged(self):
+        # sigma_hat = rho zeroes the objective and gives phi_hat = 1, hence a
+        # zero spectral gap; only the feasibility test can refuse it.
+        rho = random_state((2, 3), np.random.default_rng(0))
+        assert not is_ppt(rho)
+        res = minimize_ree(rho, "PPT", extra_candidates=[rho])
+        assert res.cert_gap <= CERT_TOL
+        assert res.status == "NONCONVERGED"
+
+    @pytest.mark.parametrize(
+        "dims, seed", [(None, None), ((2, 2), 1), ((2, 2), 2), ((2, 2), 3), ((2, 3), 4), ((3, 3), 1)]
+    )
+    def test_bracket_holds_the_closed_form(self, dims, seed):
+        # value - cert_gap <= E(rho(x)) <= value on the converse families.
+        anchor = bell_cps_anchor() if seed is None else random_boundary_state(dims, seed)
+        fam = _family(anchor)
+        for frac in (0.25, 0.5, 0.9):
+            x = frac * fam.x_max
+            res = minimize_ree(fam.state(x), "PPT")
+            exact = ree_closed_form(fam, x)
+            assert res.status == "CONVERGED"
+            assert res.value - res.cert_gap <= exact <= res.value + 1e-9
 
 
 class TestMaximizeLinear:
