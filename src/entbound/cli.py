@@ -211,6 +211,7 @@ def _cmd_audit(args) -> int:
             "rains": report.rains_values,
             "log_negativity": report.ln_values,
             "max_gap": report.max_gap,
+            "nonconverged": report.nonconverged,
             "passed": report.passed,
         },
         args.out,

@@ -109,7 +109,7 @@ def _domain_mask(g: ScalarFunction, w: np.ndarray) -> np.ndarray:
     return lo & hi
 
 
-def _divided_differences(g: ScalarFunction, w_in: np.ndarray) -> np.ndarray:
+def divided_differences(g: ScalarFunction, w_in: np.ndarray) -> np.ndarray:
     """Divided differences of g over the in-domain eigenvalues ``w_in``."""
     scale = float(np.max(np.abs(w_in))) if w_in.size else 0.0
     thr = CLUSTER_RTOL * scale
@@ -137,7 +137,7 @@ def build_kernel(g: ScalarFunction, a: HermitianMatrix) -> FrechetKernel:
     t = np.zeros((n, n))
     s: np.ndarray | None = np.zeros((n, n))
     if idx.size:
-        tm = _divided_differences(g, w[idx])
+        tm = divided_differences(g, w[idx])
         t[np.ix_(idx, idx)] = tm
         if np.min(np.abs(tm)) > 0.0:
             s = np.zeros((n, n))

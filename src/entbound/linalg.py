@@ -138,14 +138,22 @@ def spectral_decompose(a: HermitianMatrix) -> SpectralDecomposition:
     return SpectralDecomposition(w.astype(float), _fix_phases(v))
 
 
-def partial_transpose(a: HermitianMatrix) -> HermitianMatrix:
-    """Transpose the second tensor factor: ((i,k),(j,l)) -> ((i,l),(j,k)).
+def partial_transpose_array(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
+    """Partial transpose of an array of shape ``(..., n, n)``, ``n = n1 * n2``.
 
-    An exact entry permutation, hence involutive and spectrum-real.
+    Transposes the second tensor factor of every matrix in the stack:
+    ((i,k),(j,l)) -> ((i,l),(j,k)). An exact entry permutation, hence
+    involutive, and spectrum-real on Hermitian input.
     """
-    n1, n2 = a.dims
-    t = a.mat.reshape(n1, n2, n1, n2).transpose(0, 3, 2, 1).reshape(a.n, a.n)
-    return HermitianMatrix(t, a.dims)
+    n1, n2 = dims
+    batch = mat.shape[:-2]
+    t = mat.reshape(*batch, n1, n2, n1, n2).swapaxes(-3, -1)
+    return t.reshape(*batch, n1 * n2, n1 * n2)
+
+
+def partial_transpose(a: HermitianMatrix) -> HermitianMatrix:
+    """Transpose the second tensor factor of ``a`` (see `partial_transpose_array`)."""
+    return HermitianMatrix(partial_transpose_array(a.mat, a.dims), a.dims)
 
 
 def trace_inner_product(a: HermitianMatrix, b: HermitianMatrix) -> float:

@@ -23,6 +23,7 @@ from .linalg import (
     from_json_dict,
     hermitian,
     partial_transpose,
+    partial_transpose_array,
     random_state,
     support_projector,
     to_json_dict,
@@ -297,13 +298,12 @@ def sample_ppt_states(
     uniformly random amount past the exact PPT-boundary mixing weight, so the
     batch covers boundary and interior.
     """
-    n1, n2 = dims
-    n = n1 * n2
+    n = dims[0] * dims[1]
     g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     s = g @ g.conj().transpose(0, 2, 1)
     s /= np.trace(s, axis1=1, axis2=2).real[:, None, None]
     s = (s + s.conj().transpose(0, 2, 1)) / 2
-    spt = s.reshape(count, n1, n2, n1, n2).transpose(0, 1, 4, 3, 2).reshape(count, n, n)
+    spt = partial_transpose_array(s, dims)
     lam = np.linalg.eigvalsh(spt)[:, 0]
     tstar = np.where(lam < 0.0, -lam / (1.0 / n - lam), 0.0)
     t = tstar + rng.uniform(size=count) * (1.0 - tstar)

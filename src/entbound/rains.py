@@ -23,6 +23,7 @@ from .linalg import (
     hermitian,
     min_eigenvalue,
     partial_transpose,
+    partial_transpose_array,
     random_state,
     rank_of,
     support_projector,
@@ -160,14 +161,13 @@ def sample_T(dims: tuple[int, int], count: int, rng: np.random.Generator) -> np.
     so the trace norm of the partial transpose is uniform in [0, 1]; the batch
     covers the interior and the boundary sphere.
     """
-    n1, n2 = dims
-    n = n1 * n2
+    n = dims[0] * dims[1]
     g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
     h = (g + g.conj().transpose(0, 2, 1)) / 2
     w, v = np.linalg.eigh(h)
     w = np.clip(w, 0.0, None)
     psd = np.einsum("kij,kj,klj->kil", v, w, v.conj())
-    pt = psd.reshape(count, n1, n2, n1, n2).transpose(0, 1, 4, 3, 2).reshape(count, n, n)
+    pt = partial_transpose_array(psd, dims)
     norms = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=1)
     norms = np.where(norms > 1e-14, norms, 1.0)
     u = rng.uniform(size=count)
@@ -310,7 +310,12 @@ def rains_vs_ln(rho: HermitianMatrix, config=None) -> RainsLnReport:
 
 @dataclass(frozen=True)
 class QubitEqualityReport:
-    """Forward-solved Rains bound vs REE over random non-PPT states."""
+    """Forward-solved Rains bound vs REE over random non-PPT states.
+
+    ``nonconverged`` counts the solves (two per state) whose status is not
+    CONVERGED; a gap between such values certifies nothing, so any of them
+    fails the audit.
+    """
 
     dims: tuple[int, int]
     seed: int
@@ -318,6 +323,7 @@ class QubitEqualityReport:
     rains_values: list = field(default_factory=list)
     ln_values: list = field(default_factory=list)
     max_gap: float = 0.0
+    nonconverged: int = 0
     passed: bool | None = None  # None when no subsystem is a qubit (report only)
 
 
@@ -326,8 +332,8 @@ def qubit_equality_audit(
 ) -> QubitEqualityReport:
     """Compare forward-solved R and E over random non-PPT states.
 
-    With one qubit subsystem the two must agree; other dimensions are audited
-    report-only with no pass bar.
+    With one qubit subsystem the two must agree, and every solve must be
+    CONVERGED; other dimensions are audited report-only with no pass bar.
     """
     from .solver import SolverConfig, minimize_ree
 
@@ -337,6 +343,7 @@ def qubit_equality_audit(
     ree_vals: list[float] = []
     rains_vals: list[float] = []
     ln_vals: list[float] = []
+    nonconverged = 0
     count = 0
     while count < samples:
         rho = random_state(dims, rng)
@@ -345,6 +352,7 @@ def qubit_equality_audit(
         count += 1
         ep = minimize_ree(rho, "PPT", config)
         rb = minimize_ree(rho, "RAINS_T", config, extra_candidates=[ep.sigma_hat])
+        nonconverged += (ep.status != "CONVERGED") + (rb.status != "CONVERGED")
         ree_vals.append(ep.value)
         rains_vals.append(rb.value)
         ln_vals.append(log_negativity(rho))
@@ -358,5 +366,6 @@ def qubit_equality_audit(
         rains_values=rains_vals,
         ln_values=ln_vals,
         max_gap=max_gap,
-        passed=(max_gap < 5e-4) if qubit_side else None,
+        nonconverged=nonconverged,
+        passed=(max_gap < 5e-4 and nonconverged == 0) if qubit_side else None,
     )

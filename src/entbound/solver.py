@@ -4,9 +4,13 @@ These are the independent check on every converse construction. Projections
 onto the constraint sets run Dykstra's alternating scheme over their defining
 cones (PSD cone, PSD-after-partial-transpose cone, unit-trace slice for the
 PPT set; PSD cone and the partial-transpose trace-norm ball for the Rains
-set). The relative-entropy objective descends along -L_σ(ρ) with
-Barzilai-Borwein step seeds and Armijo backtracking, which keeps the
-objective monotone per accepted step.
+set). The relative-entropy objective runs the monotone spectral projected
+gradient method (Birgin, Martínez & Raydan, SIAM J. Optim. 10, 1196 (2000)):
+each iteration projects one Barzilai-Borwein step along -L_σ(ρ) and then
+backtracks (Armijo) along the segment from σ to that projection. Every point
+of the segment is feasible by convexity, so a trial step costs one
+eigendecomposition and no projection, and the objective stays monotone per
+accepted step.
 """
 
 from __future__ import annotations
@@ -21,9 +25,11 @@ from .linalg import (
     hermitian,
     min_eigenvalue,
     partial_transpose,
+    partial_transpose_array,
     trace_norm,
 )
 from .divergences import SUPPORT_ATOL, relative_entropy
+from .frechet import divided_differences, log_fn
 from .ppt import SupportingFunctional, is_boundary_of_P, ppt_functional
 
 DYKSTRA_RESIDUAL = 1e-10
@@ -58,12 +64,6 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
-def _pt_raw(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
-    n1, n2 = dims
-    n = n1 * n2
-    return mat.reshape(n1, n2, n1, n2).transpose(0, 3, 2, 1).reshape(n, n)
-
-
 def _project_l1_ball(w: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Euclidean projection of a real vector onto the l1 ball (soft threshold)."""
     a = np.abs(w)
@@ -80,10 +80,10 @@ def _project_l1_ball(w: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 def _project_pt_ball(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Project onto {X : ||X^Gamma||_1 <= 1}; the partial transpose is an isometry."""
-    pt = _pt_raw(mat, dims)
+    pt = partial_transpose_array(mat, dims)
     w, v = np.linalg.eigh((pt + pt.conj().T) / 2)
     w = _project_l1_ball(w)
-    return _pt_raw((v * w) @ v.conj().T, dims)
+    return partial_transpose_array((v * w) @ v.conj().T, dims)
 
 
 def _dykstra(x0, projections, max_cycles, feasibility, tol_feas):
@@ -102,14 +102,14 @@ def _dykstra(x0, projections, max_cycles, feasibility, tol_feas):
 
 def _ppt_feasibility(mat: np.ndarray, dims: tuple[int, int]) -> float:
     lam = float(np.linalg.eigvalsh(mat)[0])
-    lam_pt = float(np.linalg.eigvalsh(_pt_raw(mat, dims))[0])
+    lam_pt = float(np.linalg.eigvalsh(partial_transpose_array(mat, dims))[0])
     tr = float(np.trace(mat).real)
     return max(-lam, -lam_pt, abs(tr - 1.0))
 
 
 def _t_feasibility(mat: np.ndarray, dims: tuple[int, int]) -> float:
     lam = float(np.linalg.eigvalsh(mat)[0])
-    ptnorm = float(np.sum(np.abs(np.linalg.eigvalsh(_pt_raw(mat, dims)))))
+    ptnorm = float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_array(mat, dims)))))
     return max(-lam, ptnorm - 1.0)
 
 
@@ -118,7 +118,7 @@ def _project_P_raw(mat: np.ndarray, dims: tuple[int, int], config: SolverConfig)
     eye = np.eye(n)
     projections = [
         lambda x: x - (x.trace().real - 1.0) / n * eye,
-        lambda x: _pt_raw(_clip_psd(_pt_raw(x, dims)), dims),
+        lambda x: partial_transpose_array(_clip_psd(partial_transpose_array(x, dims)), dims),
         _clip_psd,
     ]
     return _dykstra(
@@ -177,16 +177,6 @@ def project_T(a: HermitianMatrix, config: SolverConfig | None = None) -> Hermiti
     return hermitian(out, a.dims)
 
 
-def _log_divided_differences(w: np.ndarray) -> np.ndarray:
-    thr = 1e-9 * float(np.max(w))
-    diff = w[:, None] - w[None, :]
-    close = np.abs(diff) <= thr
-    mid = 2.0 / (w[:, None] + w[None, :])
-    safe = np.where(close, 1.0, diff)
-    quot = (np.log(w)[:, None] - np.log(w)[None, :]) / safe
-    return np.where(close, mid, quot)
-
-
 @dataclass(frozen=True)
 class SolveResult:
     sigma_hat: HermitianMatrix
@@ -206,11 +196,16 @@ def minimize_ree(
 ) -> SolveResult:
     """Minimize S(ρ‖σ) over the PPT set ("PPT") or the Rains set ("RAINS_T").
 
-    Projected gradient descent from the maximally mixed start with
-    Barzilai-Borwein step seeds and Armijo backtracking. ``cert_gap`` is a
-    weak-duality bound on the first-order gap, the maximum over the set of
-    Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): min(λmax φ̂, λmax φ̂^Γ) - Tr[φ̂σ̂] for
-    the PPT set, min(max(λmax φ̂, 0), ‖φ̂^Γ‖_op) - Tr[φ̂σ̂] for the Rains set.
+    Spectral projected gradient from the maximally mixed start: each
+    iteration computes d = Π(σ - t·g) - σ, one projection of the
+    Barzilai-Borwein step t, and backtracks α ← ``armijo_beta``·α from α = 1
+    on σ + α·d until f(σ + α·d) ≤ f(σ) - 1e-4·α·⟨g, -d⟩, with g the
+    gradient at σ; a trial is one objective evaluation, never a projection.
+
+    ``cert_gap`` is a weak-duality bound on the first-order gap, the maximum
+    over the set of Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): min(λmax φ̂, λmax φ̂^Γ)
+    - Tr[φ̂σ̂] for the PPT set, min(max(λmax φ̂, 0), ‖φ̂^Γ‖_op) - Tr[φ̂σ̂]
+    for the Rains set.
     By convexity the minimum lies in [value - cert_gap, value] whenever σ̂ is
     feasible. CONVERGED means exactly that: σ̂ is feasible within
     ``config.tol_feas`` and ``cert_gap`` is at most CERT_TOL.
@@ -253,9 +248,11 @@ def minimize_ree(
         f = tr_rho_log_rho - float(np.sum(rdiag * np.log(wc)))
         return f, (wc, v, r)
 
+    log = log_fn()
+
     def gradient(cache):
         w, v, r = cache
-        t = _log_divided_differences(w)
+        t = divided_differences(log, w)
         g = -(v @ (t * r) @ v.conj().T)
         return (g + g.conj().T) / 2
 
@@ -270,18 +267,19 @@ def minimize_ree(
     iterations = 0
     for k in range(cfg.max_iters):
         iterations = k + 1
+        # One projection per iteration; every point of the segment from sigma
+        # to the projected step is feasible by convexity.
+        d = project(sigma - t * g) - sigma
+        decrease = float(np.vdot(g, -d).real)
         accepted = False
-        tt = t
-        cand = sigma
-        fc = f
-        while tt >= 1e-12:
-            cand = project(sigma - tt * g)
+        alpha = 1.0
+        while alpha * t >= 1e-12:
+            cand = sigma + alpha * d
             fc, cand_cache = evaluate(cand)
-            decrease = float(np.vdot(g, sigma - cand).real)
-            if fc <= f - 1e-4 * decrease + 1e-15:
+            if fc <= f - 1e-4 * alpha * decrease + 1e-15:
                 accepted = True
                 break
-            tt *= cfg.armijo_beta
+            alpha *= cfg.armijo_beta
         if not accepted:
             break
         s = cand - sigma
@@ -291,7 +289,7 @@ def minimize_ree(
         sy = float(np.vdot(s, y).real)
         sigma, f, g = cand, fc, g_new
         trace.append(f)
-        t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(tt * 4.0, 1e8)
+        t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
         if np.sqrt(ss) <= cfg.tol_grad and k >= 2:
             break
 
@@ -310,7 +308,7 @@ def minimize_ree(
     anchor = float(np.vdot(phi_hat, sigma).real)
 
     lam_phi = float(np.linalg.eigvalsh(phi_hat)[-1])
-    pt_eigs = np.linalg.eigvalsh(_pt_raw(phi_hat, dims))
+    pt_eigs = np.linalg.eigvalsh(partial_transpose_array(phi_hat, dims))
     if set_tag == "PPT":
         bound = min(lam_phi, float(pt_eigs[-1]))
     else:
@@ -355,7 +353,8 @@ def _polish_to_boundary(
 
     def spectra(t: float) -> tuple[float, float]:
         x = (1.0 - t) * eye + t * sigma
-        return float(np.linalg.eigvalsh(x)[0]), float(np.linalg.eigvalsh(_pt_raw(x, dims))[0])
+        lam_pt = np.linalg.eigvalsh(partial_transpose_array(x, dims))[0]
+        return float(np.linalg.eigvalsh(x)[0]), float(lam_pt)
 
     lo, hi = 1.0, 1.0
     for _ in range(60):
@@ -407,11 +406,11 @@ def maximize_linear(
     n = m.n
     if set_tag == "PPT":
         project = lambda x: _project_P_raw(x, dims, cfg)
-        pt_eigs = np.linalg.eigvalsh(_pt_raw(m.mat, dims))
+        pt_eigs = np.linalg.eigvalsh(partial_transpose_array(m.mat, dims))
         bound = min(float(w_m[-1]), float(pt_eigs[-1]))
     else:
         project = lambda x: _project_T_raw(x, dims, cfg)
-        pt_eigs = np.linalg.eigvalsh(_pt_raw(m.mat, dims))
+        pt_eigs = np.linalg.eigvalsh(partial_transpose_array(m.mat, dims))
         bound = min(max(float(w_m[-1]), 0.0), float(np.max(np.abs(pt_eigs))))
 
     sigma = np.eye(n, dtype=complex) / n

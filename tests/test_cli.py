@@ -154,6 +154,7 @@ class TestMisc:
         d = json.loads(out)
         assert d["passed"] is True
         assert d["max_gap"] < 5e-4
+        assert d["nonconverged"] == 0
 
     def test_malformed_input_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"

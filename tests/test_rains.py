@@ -3,10 +3,12 @@ import pytest
 
 from entbound import (
     PreconditionError,
+    SolverConfig,
     ball_functional,
     hermitian,
     is_in_T,
     partial_transpose,
+    qubit_equality_audit,
     rains_closed_form,
     rains_converse,
     rains_functional,
@@ -238,3 +240,19 @@ class TestRainsVsLn:
         report = rains_vs_ln(rho)
         assert report.rho_full_rank
         assert report.verdict == "STRICT"
+
+
+class TestQubitEqualityAudit:
+    def test_nonconverged_solves_fail_the_audit(self):
+        # Two iterations stop far short of the optimum; the Rains solve then
+        # (nearly) takes the REE minimizer offered as its extra candidate, so
+        # the gap passes the bar and only the status count can refuse the audit.
+        report = qubit_equality_audit((2, 3), 5, 0, SolverConfig(max_iters=2))
+        assert report.max_gap < 5e-4
+        assert report.nonconverged > 0
+        assert report.passed is False
+
+    def test_report_only_without_a_qubit_side(self):
+        report = qubit_equality_audit((3, 3), 1, 0, SolverConfig(max_iters=2))
+        assert report.nonconverged > 0
+        assert report.passed is None

@@ -22,6 +22,7 @@ from entbound import (
     ree_closed_form,
     trace_norm,
 )
+from entbound import solver
 from entbound.solver import CERT_TOL, _ppt_feasibility
 from conftest import bell_cps_anchor, bell_state
 
@@ -183,6 +184,32 @@ class TestStatus:
             exact = ree_closed_form(fam, x)
             assert res.status == "CONVERGED"
             assert res.value - res.cert_gap <= exact <= res.value + 1e-9
+
+
+class TestProjectionCount:
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    @pytest.mark.parametrize("kind", ["family", "ginibre"])
+    def test_one_projection_per_iteration(self, monkeypatch, set_tag, kind):
+        # Armijo backtracks along the projected segment, so a trial step
+        # costs one objective evaluation and no projection.
+        if kind == "family":
+            fam = _family(random_boundary_state((2, 3), 1))
+            rho = fam.state(fam.x_max / 2)
+        else:
+            rho = random_state((2, 3), np.random.default_rng(0))
+            assert not is_ppt(rho)
+        calls = []
+        for name in ("_project_P_raw", "_project_T_raw"):
+            original = getattr(solver, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(None)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(solver, name, counted)
+        res = minimize_ree(rho, set_tag)
+        assert res.iterations > 2
+        assert len(calls) == res.iterations
 
 
 class TestMaximizeLinear:
