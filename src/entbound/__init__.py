@@ -28,10 +28,8 @@ from .linalg import (
     hermitian,
     identity,
     is_psd,
-    partial_transpose,
     random_hermitian,
     random_state,
-    spectral_decompose,
     support_projector,
     to_json_dict,
     trace_inner_product,
@@ -68,7 +66,6 @@ from .ppt import (
     is_ppt,
     ppt_functional,
     random_boundary_state,
-    sample_ppt_states,
 )
 from .ree import (
     AdditivityReport,
@@ -93,7 +90,6 @@ from .rains import (
     rains_converse,
     rains_functional,
     rains_vs_ln,
-    sample_T,
     verify_rains_min,
 )
 from .criteria import (

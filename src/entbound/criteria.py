@@ -87,7 +87,7 @@ def quasi_functional(
     """
     _check_strictly_positive(rho, "rho")
     _check_strictly_positive(sigma_star, "sigma*")
-    p, v = np.linalg.eigh(rho.mat)
+    p, v = rho.spectrum
     acc = np.zeros_like(rho.mat)
     for i in range(p.size):
         anchor = hermitian(sigma_star.mat / p[i], sigma_star.dims)
@@ -126,7 +126,7 @@ def renyi_converse(
     inv = frechet_pinv_apply(kernel, phi)
     if min_eigenvalue(inv) < -1e-10:
         raise PreconditionError("D‡(phi) is not PSD; no state corresponds to phi")
-    w, v = np.linalg.eigh(inv.mat)
+    w, v = inv.spectrum
     w = np.clip(w, 0.0, None)
     return hermitian((v * np.power(w, 1.0 / alpha)) @ v.conj().T, sigma_star.dims)
 
@@ -146,7 +146,7 @@ def sandwiched_functional(
     _check_strictly_positive(rho, "rho")
     _check_strictly_positive(sigma_star, "sigma*")
     beta = (1.0 - alpha) / (2.0 * alpha)
-    w, v = np.linalg.eigh(sigma_star.mat)
+    w, v = sigma_star.spectrum
     s_beta = (v * np.power(w, beta)) @ v.conj().T
     s_neg_beta = (v * np.power(w, -beta)) @ v.conj().T
     x = s_beta @ rho.mat @ s_beta

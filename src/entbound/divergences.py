@@ -13,7 +13,7 @@ import numpy as np
 
 from .errors import NotAStateError, NotPSDError, PreconditionError
 from .frechet import ScalarFunction
-from .linalg import HermitianMatrix, hermitian, partial_transpose, trace_norm
+from .linalg import HermitianMatrix, hermitian, min_eigenvalue, trace_norm
 
 # A direction |ψ⟩ counts as outside the support of σ when ⟨ψ|σ|ψ⟩ < 1e-11;
 # relative entropy diverges if ρ puts more than 1e-11 weight there.
@@ -21,7 +21,7 @@ SUPPORT_ATOL = 1e-11
 
 
 def _check_psd(a: HermitianMatrix, name: str) -> np.ndarray:
-    w = np.linalg.eigvalsh(a.mat)
+    w = a.spectrum.eigenvalues
     scale = max(1.0, float(np.max(np.abs(w))) if w.size else 0.0)
     if w[0] < -1e-9 * scale:
         raise NotPSDError(f"{name} must be PSD (min eig {w[0]:.3e})")
@@ -35,14 +35,21 @@ def _check_state(rho: HermitianMatrix, name: str = "rho") -> None:
 
 
 def _check_positive(a: HermitianMatrix, name: str) -> None:
-    w = np.linalg.eigvalsh(a.mat)
-    if w[0] <= 1e-12:
-        raise PreconditionError(f"{name} must be strictly positive (min eig {w[0]:.3e})")
+    lam = min_eigenvalue(a)
+    if lam <= 1e-12:
+        raise PreconditionError(f"{name} must be strictly positive (min eig {lam:.3e})")
+
+
+def _trace_xlogx(a: HermitianMatrix) -> float:
+    """Tr[A log A] of a PSD matrix from its clipped spectrum, with 0 log 0 = 0."""
+    p = np.clip(a.spectrum.eigenvalues, 0.0, None)
+    p = p[p > 1e-18]
+    return float(np.sum(p * np.log(p)))
 
 
 def xlogx(a: HermitianMatrix) -> HermitianMatrix:
     """A log A on the support of a PSD matrix, with 0 log 0 = 0."""
-    w, v = np.linalg.eigh(a.mat)
+    w, v = a.spectrum
     vals = np.where(w > SUPPORT_ATOL, w * np.log(np.where(w > SUPPORT_ATOL, w, 1.0)), 0.0)
     return hermitian((v * vals) @ v.conj().T, a.dims)
 
@@ -50,9 +57,7 @@ def xlogx(a: HermitianMatrix) -> HermitianMatrix:
 def von_neumann_entropy(rho: HermitianMatrix) -> float:
     """-Tr[ρ log ρ] for a unit-trace PSD matrix, natural log."""
     _check_state(rho)
-    p = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
-    p = p[p > 1e-18]
-    return float(-np.sum(p * np.log(p)))
+    return -_trace_xlogx(rho)
 
 
 def relative_entropy(rho: HermitianMatrix, sigma: HermitianMatrix) -> float:
@@ -63,22 +68,19 @@ def relative_entropy(rho: HermitianMatrix, sigma: HermitianMatrix) -> float:
     """
     _check_psd(rho, "rho")
     _check_psd(sigma, "sigma")
-    ws, vs = np.linalg.eigh(sigma.mat)
+    ws, vs = sigma.spectrum
     rho_diag = np.einsum("ij,jk,ki->i", vs.conj().T, rho.mat, vs).real
     off = ws < SUPPORT_ATOL
     if np.any(rho_diag[off] > SUPPORT_ATOL):
         return math.inf
     tr_rho_log_sigma = float(np.sum(rho_diag[~off] * np.log(ws[~off])))
-    p = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
-    p = p[p > 1e-18]
-    tr_rho_log_rho = float(np.sum(p * np.log(p)))
-    return tr_rho_log_rho - tr_rho_log_sigma
+    return _trace_xlogx(rho) - tr_rho_log_sigma
 
 
 def log_negativity(sigma: HermitianMatrix) -> float:
     """log of the trace norm of the partial transpose; 0 on PPT states."""
     _check_psd(sigma, "sigma")
-    return float(np.log(trace_norm(partial_transpose(sigma))))
+    return float(np.log(trace_norm(sigma.pt)))
 
 
 def quasi_f_relative_entropy(
@@ -91,8 +93,8 @@ def quasi_f_relative_entropy(
     """
     _check_positive(rho, "rho")
     _check_positive(sigma, "sigma")
-    p, vr = np.linalg.eigh(rho.mat)
-    s, vsig = np.linalg.eigh(sigma.mat)
+    p, vr = rho.spectrum
+    s, vsig = sigma.spectrum
     overlap = np.abs(vr.conj().T @ vsig) ** 2  # overlap[i, j] = |⟨ψ_i|χ_j⟩|²
     ratios = s[None, :] / p[:, None]
     vals = np.asarray(f.fn(ratios), dtype=float)
@@ -100,7 +102,7 @@ def quasi_f_relative_entropy(
 
 
 def _power(a: HermitianMatrix, exponent: float) -> np.ndarray:
-    w, v = np.linalg.eigh(a.mat)
+    w, v = a.spectrum
     return (v * np.power(w, exponent)) @ v.conj().T
 
 

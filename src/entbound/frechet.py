@@ -27,7 +27,6 @@ from .linalg import (
     EIG_ZERO_RTOL,
     HermitianMatrix,
     SpectralDecomposition,
-    spectral_decompose,
     trace_inner_product,
 )
 
@@ -129,7 +128,7 @@ def build_kernel(g: ScalarFunction, a: HermitianMatrix) -> FrechetKernel:
     pseudo-inverse matrix ``s`` is present iff every in-domain entry of the
     kernel is nonzero (in particular g' nonzero at each in-domain eigenvalue).
     """
-    basis = spectral_decompose(a)
+    basis = a.spectrum
     w = basis.eigenvalues
     n = w.size
     mask = _domain_mask(g, w)
@@ -179,7 +178,7 @@ def matrix_function(
     ``restrict_to_support`` g is applied on the in-domain eigenspaces only and
     the rest contribute zero.
     """
-    basis = spectral_decompose(a)
+    basis = a.spectrum
     w = basis.eigenvalues
     mask = _domain_mask(g, w)
     if not mask.all() and not restrict_to_support:
@@ -205,7 +204,7 @@ def directional_derivative(
     Equals -Tr[ρ D_{g,σ}(τ)]. Requires ρ PSD and supported inside the
     in-domain eigenspaces of σ, else the true derivative is infinite.
     """
-    w_rho = np.linalg.eigvalsh(rho.mat)
+    w_rho = rho.spectrum.eigenvalues
     if w_rho[0] < -EIG_ZERO_RTOL * max(1.0, float(np.max(np.abs(w_rho)))):
         raise NotPSDError(f"rho must be PSD (min eig {w_rho[0]:.3e})")
     k = build_kernel(g, sigma)

@@ -4,11 +4,19 @@ Every matrix in this package is a `HermitianMatrix`: a complex square array
 tagged with subsystem dimensions ``(n1, n2)``, ``n = n1 * n2``. Values are
 immutable after construction and all operations here are pure functions, so
 concurrent use is safe.
+
+A matrix computes its eigendecomposition (`HermitianMatrix.spectrum`) and its
+partial transpose (`HermitianMatrix.pt`) on first use and keeps them, so every
+eigenvalue read of one value shares one decomposition. The cache cannot go
+stale because the stored array is read-only, and it needs no lock of its own:
+two threads racing on a first use at worst compute the same deterministic
+value twice.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -71,6 +79,20 @@ class HermitianMatrix:
     def trace(self) -> float:
         return float(np.trace(self.mat).real)
 
+    @cached_property
+    def spectrum(self) -> "SpectralDecomposition":
+        """Eigendecomposition with ascending eigenvalues and a fixed phase convention."""
+        try:
+            w, v = np.linalg.eigh(self.mat)
+        except np.linalg.LinAlgError as exc:
+            raise SpectralError(f"eigendecomposition did not converge: {exc}") from exc
+        return SpectralDecomposition(w.astype(float), _fix_phases(v))
+
+    @cached_property
+    def pt(self) -> "HermitianMatrix":
+        """Transpose of the second tensor factor (see `partial_transpose_array`)."""
+        return HermitianMatrix(partial_transpose_array(self.mat, self.dims), self.dims)
+
     def _same_dims(self, other: "HermitianMatrix") -> None:
         if self.dims != other.dims:
             raise DimensionMismatchError(f"dims {self.dims} != {other.dims}")
@@ -100,6 +122,10 @@ class SpectralDecomposition:
         self.eigenvalues.setflags(write=False)
         self.eigenvectors.setflags(write=False)
 
+    def __iter__(self):
+        """Unpack as ``w, v = a.spectrum``."""
+        return iter((self.eigenvalues, self.eigenvectors))
+
 
 def hermitian(mat: np.ndarray, dims: tuple[int, int] | None = None) -> HermitianMatrix:
     """Wrap an array as a HermitianMatrix, defaulting dims to ``(n, 1)``."""
@@ -117,25 +143,16 @@ def _fix_phases(v: np.ndarray) -> np.ndarray:
     """Make the largest-magnitude entry of each column real positive.
 
     Ties break to the lowest index (np.argmax convention), giving a
-    reproducible eigenbasis for a fixed input.
+    reproducible eigenbasis for a fixed input. The phases are scalar
+    divisions: numpy's array division can differ from them in the last bit.
     """
-    out = v.copy()
-    for k in range(out.shape[1]):
-        col = out[:, k]
-        idx = int(np.argmax(np.abs(col)))
-        pivot = col[idx]
-        if abs(pivot) > 0:
-            out[:, k] = col * (pivot.conjugate() / abs(pivot))
-    return out
+    pivots = v[np.argmax(np.abs(v), axis=0), np.arange(v.shape[1])]
+    return v * np.array([p.conjugate() / abs(p) if abs(p) > 0 else 1.0 for p in pivots])
 
 
-def spectral_decompose(a: HermitianMatrix) -> SpectralDecomposition:
-    """Eigendecompose with ascending eigenvalues and a fixed phase convention."""
-    try:
-        w, v = np.linalg.eigh(a.mat)
-    except np.linalg.LinAlgError as exc:
-        raise SpectralError(f"eigendecomposition did not converge: {exc}") from exc
-    return SpectralDecomposition(w.astype(float), _fix_phases(v))
+def rel_tol(w: np.ndarray) -> float:
+    """Rank threshold of a spectrum: ``EIG_ZERO_RTOL`` times its largest |eigenvalue|."""
+    return EIG_ZERO_RTOL * float(np.max(np.abs(w)))
 
 
 def partial_transpose_array(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
@@ -151,11 +168,6 @@ def partial_transpose_array(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarra
     return t.reshape(*batch, n1 * n2, n1 * n2)
 
 
-def partial_transpose(a: HermitianMatrix) -> HermitianMatrix:
-    """Transpose the second tensor factor of ``a`` (see `partial_transpose_array`)."""
-    return HermitianMatrix(partial_transpose_array(a.mat, a.dims), a.dims)
-
-
 def trace_inner_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
     """Hilbert-Schmidt inner product Tr[A†B], real for Hermitian pairs."""
     if a.mat.shape != b.mat.shape:
@@ -165,8 +177,7 @@ def trace_inner_product(a: HermitianMatrix, b: HermitianMatrix) -> float:
 
 def trace_norm(a: HermitianMatrix) -> float:
     """Sum of absolute eigenvalues (Schatten-1 norm of a Hermitian matrix)."""
-    w = np.linalg.eigvalsh(a.mat)
-    return float(np.sum(np.abs(w)))
+    return float(np.sum(np.abs(a.spectrum.eigenvalues)))
 
 
 def frobenius_norm(a: HermitianMatrix) -> float:
@@ -174,18 +185,18 @@ def frobenius_norm(a: HermitianMatrix) -> float:
 
 
 def min_eigenvalue(a: HermitianMatrix) -> float:
-    return float(np.linalg.eigvalsh(a.mat)[0])
+    return float(a.spectrum.eigenvalues[0])
 
 
 def support_projector(a: HermitianMatrix, tol: float | None = None) -> HermitianMatrix:
     """Orthogonal projector onto eigenspaces with eigenvalue above ``tol``.
 
-    ``tol`` defaults to ``EIG_ZERO_RTOL * max|eig|``. The input must be PSD
+    ``tol`` defaults to `rel_tol` of the spectrum. The input must be PSD
     within that tolerance.
     """
-    w, v = np.linalg.eigh(a.mat)
+    w, v = a.spectrum
     if tol is None:
-        tol = EIG_ZERO_RTOL * (float(np.max(np.abs(w))) if w.size else 0.0)
+        tol = rel_tol(w)
     if w.size and w[0] < -max(tol, 0.0) - 1e-15:
         raise NotPSDError(f"support projector of a non-PSD matrix (min eig {w[0]:.3e})")
     cols = v[:, w > tol]
@@ -199,10 +210,10 @@ def is_psd(a: HermitianMatrix, tol: float = 1e-10) -> bool:
 
 
 def rank_of(a: HermitianMatrix, tol: float | None = None) -> int:
-    w = np.abs(np.linalg.eigvalsh(a.mat))
+    w = a.spectrum.eigenvalues
     if tol is None:
-        tol = EIG_ZERO_RTOL * (float(np.max(w)) if w.size else 0.0)
-    return int(np.sum(w > tol))
+        tol = rel_tol(w)
+    return int(np.sum(np.abs(w) > tol))
 
 
 def random_hermitian(

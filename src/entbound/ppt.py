@@ -18,13 +18,12 @@ import numpy as np
 
 from .errors import DimensionMismatchError, NotPSDError, PreconditionError
 from .linalg import (
-    EIG_ZERO_RTOL,
     HermitianMatrix,
     from_json_dict,
     hermitian,
-    partial_transpose,
     partial_transpose_array,
     random_state,
+    rel_tol,
     support_projector,
     to_json_dict,
     trace_inner_product,
@@ -78,7 +77,7 @@ class SupportingFunctional:
             a = self.certificate.coefficients
             if np.any(a < -1e-15):
                 raise PreconditionError("PPT certificate coefficients must be nonnegative")
-            apt = partial_transpose(self.anchor).mat
+            apt = self.anchor.pt.mat
             for k in range(self.certificate.zero_eigenvectors.shape[1]):
                 vec = self.certificate.zero_eigenvectors[:, k]
                 if np.linalg.norm(apt @ vec) > 1e-8:
@@ -143,39 +142,36 @@ def functional_from_json_dict(d: dict) -> SupportingFunctional:
     return SupportingFunctional(phi=phi, anchor=anchor, set_tag=tag, certificate=cert)
 
 
-def _pt_rel_tol(sigma: HermitianMatrix) -> float:
-    w = np.abs(np.linalg.eigvalsh(partial_transpose(sigma).mat))
-    return EIG_ZERO_RTOL * (float(np.max(w)) if w.size else 0.0)
-
-
 def is_ppt(sigma: HermitianMatrix, tol: float | None = None) -> bool:
     """True iff the partial transpose of the state is PSD within ``tol``."""
-    w = np.linalg.eigvalsh(sigma.mat)
+    w = sigma.spectrum.eigenvalues
     if w[0] < -1e-9 * max(1.0, float(np.max(np.abs(w)))):
         raise NotPSDError(f"is_ppt requires a PSD input (min eig {w[0]:.3e})")
     if abs(sigma.trace() - 1.0) > 1e-9:
         raise PreconditionError(f"is_ppt requires unit trace (got {sigma.trace():.9f})")
+    w_pt = sigma.pt.spectrum.eigenvalues
     if tol is None:
-        tol = _pt_rel_tol(sigma)
-    return float(np.linalg.eigvalsh(partial_transpose(sigma).mat)[0]) >= -tol
+        tol = rel_tol(w_pt)
+    return float(w_pt[0]) >= -tol
 
 
 def is_boundary_of_P(sigma: HermitianMatrix, tol: float | None = None) -> bool:
     """True iff σ is PPT and σ^Γ has a zero eigenvalue within ``tol``."""
+    w_pt = sigma.pt.spectrum.eigenvalues
     if tol is None:
-        tol = _pt_rel_tol(sigma)
+        tol = rel_tol(w_pt)
     if not is_ppt(sigma, tol):
         raise PreconditionError("boundary test requires a PPT state")
-    return float(np.linalg.eigvalsh(partial_transpose(sigma).mat)[0]) <= tol
+    return float(w_pt[0]) <= tol
 
 
 def pt_zero_subspace(
     sigma_star: HermitianMatrix, tol: float | None = None
 ) -> np.ndarray:
-    """Columns spanning the zero eigenspace of σ*^Γ (relative threshold)."""
-    w, v = np.linalg.eigh(partial_transpose(sigma_star).mat)
+    """Columns spanning the zero eigenspace of σ*^Γ (`rel_tol` by default)."""
+    w, v = sigma_star.pt.spectrum
     if tol is None:
-        tol = EIG_ZERO_RTOL * (float(np.max(np.abs(w))) if w.size else 0.0)
+        tol = rel_tol(w)
     return v[:, np.abs(w) <= tol]
 
 
@@ -208,12 +204,7 @@ def ppt_functional(
         raise PreconditionError("zero coefficient vector")
 
     n = sigma_star.n
-    w = np.zeros((n, n), dtype=complex)
-    for i in range(m):
-        if a[i] > 0:
-            proj = np.outer(vecs[:, i], vecs[:, i].conj())
-            w += a[i] * partial_transpose(hermitian(proj, sigma_star.dims)).mat
-    w_h = hermitian(w, sigma_star.dims)
+    w_h = hermitian((vecs * a) @ vecs.conj().T, sigma_star.dims).pt
 
     p = support_projector(sigma_star)
     eye = np.eye(n)
@@ -245,8 +236,8 @@ def random_boundary_state(dims: tuple[int, int], seed: int) -> HermitianMatrix:
     n = dims[0] * dims[1]
 
     def pt_min_eig(mat: np.ndarray) -> float:
-        h = hermitian(mat, dims)
-        return float(np.linalg.eigvalsh(partial_transpose(h).mat)[0])
+        # Trial points are exactly Hermitian, so they need no HermitianMatrix wrapper.
+        return float(np.linalg.eigvalsh(partial_transpose_array(mat, dims))[0])
 
     eye = np.eye(n) / n
     sigma0 = None
@@ -288,25 +279,3 @@ def random_boundary_state(dims: tuple[int, int], seed: int) -> HermitianMatrix:
         raise PreconditionError(f"bisection did not reach the boundary (min PT eig {m:.3e})")
     return hermitian(out, dims)
 
-
-def sample_ppt_states(
-    dims: tuple[int, int], count: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Stack of ``count`` PPT states, shape (count, n, n).
-
-    Each sample mixes a Ginibre state toward the maximally mixed state by a
-    uniformly random amount past the exact PPT-boundary mixing weight, so the
-    batch covers boundary and interior.
-    """
-    n = dims[0] * dims[1]
-    g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    s = g @ g.conj().transpose(0, 2, 1)
-    s /= np.trace(s, axis1=1, axis2=2).real[:, None, None]
-    s = (s + s.conj().transpose(0, 2, 1)) / 2
-    spt = partial_transpose_array(s, dims)
-    lam = np.linalg.eigvalsh(spt)[:, 0]
-    tstar = np.where(lam < 0.0, -lam / (1.0 / n - lam), 0.0)
-    t = tstar + rng.uniform(size=count) * (1.0 - tstar)
-    eye = np.eye(n) / n
-    out = (1.0 - t)[:, None, None] * s + t[:, None, None] * eye[None, :, :]
-    return out

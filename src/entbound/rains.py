@@ -18,14 +18,12 @@ import numpy as np
 from .errors import NotPSDError, PreconditionError, SupportViolationError
 from .frechet import build_kernel, frechet_apply, frechet_pinv_apply, log_fn
 from .linalg import (
-    EIG_ZERO_RTOL,
     HermitianMatrix,
     hermitian,
     min_eigenvalue,
-    partial_transpose,
-    partial_transpose_array,
     random_state,
     rank_of,
+    rel_tol,
     support_projector,
     trace_inner_product,
     trace_norm,
@@ -38,17 +36,25 @@ def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
     """Membership in T: PSD within tol and ‖τ^Γ‖₁ ≤ 1 + tol."""
     if min_eigenvalue(tau) < -tol:
         return False
-    return trace_norm(partial_transpose(tau)) <= 1.0 + tol
+    return trace_norm(tau.pt) <= 1.0 + tol
 
 
-def _signed_eigenspaces(a: HermitianMatrix, tol: float | None = None):
-    w, v = np.linalg.eigh(a.mat)
-    if tol is None:
-        tol = EIG_ZERO_RTOL * (float(np.max(np.abs(w))) if w.size else 0.0)
+def _signed_eigenspaces(a: HermitianMatrix):
+    w, v = a.spectrum
+    tol = rel_tol(w)
     pos = w > tol
     neg = w < -tol
     null = ~(pos | neg)
     return w, v, pos, neg, null
+
+
+def _check_null_block(v: np.ndarray, null: np.ndarray, q: HermitianMatrix) -> None:
+    """Require Q on the span of the ``null`` columns of v, with spectral norm at most 1."""
+    pn = v[:, null] @ v[:, null].conj().T
+    if np.linalg.norm(pn @ q.mat @ pn - q.mat) > 1e-10:
+        raise PreconditionError("null block must be supported on the nullspace of the anchor")
+    if np.max(np.abs(q.spectrum.eigenvalues)) > 1.0 + 1e-10:
+        raise PreconditionError("null block must have spectral norm at most 1")
 
 
 def ball_functional(
@@ -68,13 +74,8 @@ def ball_functional(
     sgn = np.where(pos, 1.0, np.where(neg, -1.0, 0.0))
     omega = (v * sgn) @ v.conj().T
     if null_part is not None:
-        pn = (v[:, null] @ v[:, null].conj().T) if null.any() else np.zeros_like(omega)
-        q = null_part.mat
-        if np.linalg.norm(pn @ q @ pn - q) > 1e-10:
-            raise PreconditionError("null block must be supported on the nullspace of alpha")
-        if q.size and np.max(np.abs(np.linalg.eigvalsh(q))) > 1.0 + 1e-10:
-            raise PreconditionError("null block must have spectral norm at most 1")
-        omega = omega + q
+        _check_null_block(v, null, null_part)
+        omega = omega + null_part.mat
     return hermitian(omega, alpha.dims)
 
 
@@ -89,7 +90,7 @@ def rains_functional(
     """
     if min_eigenvalue(tau_star) < -1e-10:
         raise NotPSDError("tau* must be PSD")
-    tpt = partial_transpose(tau_star)
+    tpt = tau_star.pt
     if abs(trace_norm(tpt) - 1.0) > 1e-9:
         raise PreconditionError("anchor must satisfy ||tau*^Gamma||_1 = 1")
     w, v, pos, neg, null = _signed_eigenspaces(tpt)
@@ -98,13 +99,9 @@ def rains_functional(
     if q is None:
         q_mat = np.zeros_like(p1)
     else:
+        _check_null_block(v, null, q)
         q_mat = q.mat
-        pn = (v[:, null] @ v[:, null].conj().T) if null.any() else np.zeros_like(p1)
-        ok_support = np.linalg.norm(pn @ q_mat @ pn - q_mat) <= 1e-10
-        ok_norm = (not q_mat.size) or np.max(np.abs(np.linalg.eigvalsh(q_mat))) <= 1.0 + 1e-10
-        if not (ok_support and ok_norm):
-            raise PreconditionError("Q violates support or eigenvalue bound")
-    phi = partial_transpose(hermitian(p1 - p2 + q_mat, tau_star.dims))
+    phi = hermitian(p1 - p2 + q_mat, tau_star.dims).pt
     cert = RainsCertificate(p1=p1.copy(), p2=p2.copy(), q=q_mat.copy())
     return SupportingFunctional(phi=phi, anchor=tau_star, set_tag="RAINS_T", certificate=cert)
 
@@ -133,7 +130,7 @@ def rains_converse(
     this hyperplane). Accepted states have unit trace and live on supp(τ*).
     """
     phi = functional.phi
-    if abs(trace_norm(partial_transpose(tau_star)) - 1.0) > 1e-9:
+    if abs(trace_norm(tau_star.pt) - 1.0) > 1e-9:
         return RainsConverseResult(tau_star, phi, None, "tau* is not on the trace-norm sphere")
     if rank_of(tau_star) < tau_star.n:
         p = support_projector(tau_star)
@@ -152,26 +149,6 @@ def rains_converse(
             tau_star, phi, None, f"recovered matrix has trace {rho.trace():.12f}"
         )
     return RainsConverseResult(tau_star, phi, rho, None)
-
-
-def sample_T(dims: tuple[int, int], count: int, rng: np.random.Generator) -> np.ndarray:
-    """Stack of ``count`` elements of T, shape (count, n, n).
-
-    Random Hermitian matrices are projected onto the PSD cone, then rescaled
-    so the trace norm of the partial transpose is uniform in [0, 1]; the batch
-    covers the interior and the boundary sphere.
-    """
-    n = dims[0] * dims[1]
-    g = rng.normal(size=(count, n, n)) + 1j * rng.normal(size=(count, n, n))
-    h = (g + g.conj().transpose(0, 2, 1)) / 2
-    w, v = np.linalg.eigh(h)
-    w = np.clip(w, 0.0, None)
-    psd = np.einsum("kij,kj,klj->kil", v, w, v.conj())
-    pt = partial_transpose_array(psd, dims)
-    norms = np.sum(np.abs(np.linalg.eigvalsh(pt)), axis=1)
-    norms = np.where(norms > 1e-14, norms, 1.0)
-    u = rng.uniform(size=count)
-    return psd * (u / norms)[:, None, None]
 
 
 @dataclass(frozen=True)
@@ -210,7 +187,7 @@ def verify_rains_min(
     if rho.trace() - trace_inner_product(rho, p) > 1e-9:
         raise SupportViolationError("rho has weight outside supp(tau*)")
 
-    tpt = partial_transpose(tau_star)
+    tpt = tau_star.pt
     norm_ok = abs(trace_norm(tpt) - 1.0) <= 1e-8
 
     kernel = build_kernel(log_fn(), tau_star)
@@ -218,8 +195,8 @@ def verify_rains_min(
     anchor_value = trace_inner_product(phi_hat, tau_star)
 
     w, v, pos, neg, null = _signed_eigenspaces(tpt)
-    phi_hat_pt = partial_transpose(phi_hat).mat
-    b = v.conj().T @ phi_hat_pt @ v
+    phi_hat_pt = phi_hat.pt
+    b = v.conj().T @ phi_hat_pt.mat @ v
     form_ok = True
     npos, nneg = int(pos.sum()), int(neg.sum())
     if npos and np.linalg.norm(b[np.ix_(pos, pos)] - np.eye(npos)) > form_tol:
@@ -234,7 +211,7 @@ def verify_rains_min(
         if np.max(np.abs(np.linalg.eigvalsh((q_block + q_block.conj().T) / 2))) > 1.0 + form_tol:
             form_ok = False
 
-    max_violation = float(np.max(np.abs(np.linalg.eigvalsh(phi_hat_pt)))) - anchor_value
+    max_violation = float(np.max(np.abs(phi_hat_pt.spectrum.eigenvalues))) - anchor_value
     dual_ok = max_violation <= dual_tol
 
     return RainsMinCertificate(
@@ -258,7 +235,7 @@ def rains_closed_form(
     Valid when τ* minimizes the Rains bound for ρ with supporting functional
     φ (verify with ``verify_rains_min``); then it equals S(ρ ‖ τ*).
     """
-    if abs(trace_norm(partial_transpose(tau_star)) - 1.0) > 1e-8:
+    if abs(trace_norm(tau_star.pt) - 1.0) > 1e-8:
         raise PreconditionError("anchor must satisfy ||tau*^Gamma||_1 = 1")
     return -von_neumann_entropy(rho) - trace_inner_product(functional.phi, xlogx(tau_star))
 
@@ -292,7 +269,7 @@ def rains_vs_ln(rho: HermitianMatrix, config=None) -> RainsLnReport:
     p_rho = support_projector(rho)
     res = maximize_linear(p_rho, config, set_tag="RAINS_T")
     m = res.value
-    anchor_overlap = 1.0 / trace_norm(partial_transpose(rho))
+    anchor_overlap = 1.0 / trace_norm(rho.pt)
     ln = log_negativity(rho)
     full_rank = rank_of(rho) == rho.n
     ppt = is_ppt(rho)

@@ -24,7 +24,8 @@ from .linalg import (
     HermitianMatrix,
     frobenius_norm,
     hermitian,
-    partial_transpose,
+    min_eigenvalue,
+    partial_transpose_array,
     rank_of,
     support_projector,
     to_json_dict,
@@ -107,7 +108,7 @@ def build_family(
 
     kernel = build_kernel(log_fn(), sigma_star)
     direction = frechet_pinv_apply(kernel, phi)
-    direction_psd = float(np.linalg.eigvalsh(direction.mat)[0]) >= -1e-10
+    direction_psd = min_eigenvalue(direction) >= -1e-10
 
     # With S = σ*^{-1/2} on supp σ* (where D = L‡(φ) lives) and M = P - SDS,
     # ρ(x) = σ*^{1/2} (P - xM) σ*^{1/2}, which is PSD exactly for x·λmax(M) <= 1.
@@ -132,7 +133,7 @@ def build_family(
         rho_x = fam.state(x)
         if abs(rho_x.trace() - 1.0) > 1e-9:
             raise PreconditionError(f"trace broke along the family at x={x}")
-        if float(np.linalg.eigvalsh(rho_x.mat)[0]) < -1e-9:
+        if min_eigenvalue(rho_x) < -1e-9:
             raise PreconditionError(f"rho(x) not PSD at x={x}")
     return fam
 
@@ -178,8 +179,8 @@ def _farthest_ppt_on_segment(
     bisection on the smallest partial-transpose eigenvalue finds its far end.
     """
     dims = sigma_star.dims
-    a = partial_transpose(sigma_star).mat
-    b = partial_transpose(hermitian(target, dims)).mat
+    a = sigma_star.pt.mat
+    b = partial_transpose_array(target, dims)
     lo, hi = 0.0, 1.0
     for _ in range(60):
         mid = (lo + hi) / 2
@@ -221,7 +222,7 @@ def verify_cps(
     phi_hat = frechet_apply(kernel, rho)
     anchor_value = trace_inner_product(phi_hat, sigma_star)
 
-    delta_pt = partial_transpose(hermitian(np.eye(n) - phi_hat.mat, sigma_star.dims)).mat
+    delta_pt = np.eye(n) - phi_hat.pt.mat
     zero_vecs = pt_zero_subspace(sigma_star)
     b = np.zeros((n, n), dtype=complex)
     form_matched = False
@@ -239,7 +240,7 @@ def verify_cps(
                 form_matched = True
                 form_coefficients = w
 
-    dual = phi_hat.mat + partial_transpose(hermitian(b, sigma_star.dims)).mat
+    dual = phi_hat.mat + hermitian(b, sigma_star.dims).pt.mat
     w_dual, v_dual = np.linalg.eigh(dual)
     max_violation = float(w_dual[-1]) - anchor_value
     passed = max_violation <= tol
@@ -306,7 +307,7 @@ def additivity_check(
     sigma_inv = np.linalg.inv(sigma_star.mat)
     prod = direction.mat @ sigma_inv
     prod_h = hermitian((prod + prod.conj().T) / 2, sigma_star.dims)
-    w = np.linalg.eigvalsh(partial_transpose(prod_h).mat)
+    w = prod_h.pt.spectrum.eigenvalues
     max_minus = float(w[-1] - 1.0)
     min_minus = float(w[0] - 1.0)
     passed = comm <= tol and max_minus <= tol

@@ -24,11 +24,10 @@ from .linalg import (
     HermitianMatrix,
     hermitian,
     min_eigenvalue,
-    partial_transpose,
     partial_transpose_array,
     trace_norm,
 )
-from .divergences import SUPPORT_ATOL, relative_entropy
+from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
 from .frechet import divided_differences, log_fn
 from .ppt import SupportingFunctional, is_boundary_of_P, ppt_functional
 
@@ -225,9 +224,7 @@ def minimize_ree(
     dims = rho.dims
     n = rho.n
     rho_m = rho.mat
-    p_rho = np.clip(np.linalg.eigvalsh(rho_m), 0.0, None)
-    p_rho = p_rho[p_rho > 1e-18]
-    tr_rho_log_rho = float(np.sum(p_rho * np.log(p_rho)))
+    tr_rho_log_rho = _trace_xlogx(rho)
 
     if set_tag == "PPT":
         project = lambda x: _project_P_raw(x, dims, cfg)
@@ -298,7 +295,7 @@ def minimize_ree(
     for cand_h in extra_candidates or []:
         candidates.append(cand_h.mat)
     if set_tag == "RAINS_T":
-        ln_norm = trace_norm(partial_transpose(rho))
+        ln_norm = trace_norm(rho.pt)
         candidates.append(rho_m / ln_norm)
     best = min(candidates, key=lambda m: evaluate(m)[0])
     f_best, best_cache = evaluate(best)
@@ -339,46 +336,24 @@ class LinearSolveResult:
     certificate: SupportingFunctional | None
 
 
-def _polish_to_boundary(
-    sigma: np.ndarray, m: np.ndarray, dims: tuple[int, int]
-) -> np.ndarray | None:
-    """Extend the ray from the maximally mixed state through σ to the PT boundary.
+def _polish_to_boundary(sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray | None:
+    """Move σ along the ray from the maximally mixed state to the PT boundary.
 
-    Linear objectives do not decrease along that ray, so the polished point is
-    an exactly-boundary anchor with at least the same value; None when the PSD
-    constraint binds before the partial transpose does.
+    On x(t) = (1 - t)·1/n + t·σ the smallest PT eigenvalue is
+    (1 - t)/n + t·λmin(σ^Γ), which vanishes at t* = 1/(1 - n·λmin(σ^Γ)).
+    Linear objectives do not decrease along that ray, so x(t*) is a boundary
+    anchor with at least the same value; None when σ^Γ ⪰ 1/n (no boundary
+    on the ray) or when x(t*) is not PSD.
     """
     n = sigma.shape[0]
-    eye = np.eye(n, dtype=complex) / n
-
-    def spectra(t: float) -> tuple[float, float]:
-        x = (1.0 - t) * eye + t * sigma
-        lam_pt = np.linalg.eigvalsh(partial_transpose_array(x, dims))[0]
-        return float(np.linalg.eigvalsh(x)[0]), float(lam_pt)
-
-    lo, hi = 1.0, 1.0
-    for _ in range(60):
-        hi *= 1.5
-        lam, lam_pt = spectra(hi)
-        if lam_pt <= 0.0:
-            break
-        lo = hi
-    else:
+    lam_pt = float(np.linalg.eigvalsh(partial_transpose_array(sigma, dims))[0])
+    if lam_pt >= 1.0 / n:
         return None
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        lam, lam_pt = spectra(mid)
-        if lam_pt > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        lam_lo, lam_pt_lo = spectra(lo)
-        if 0.0 <= lam_pt_lo <= 1e-10:
-            break
-    lam_lo, lam_pt_lo = spectra(lo)
-    if lam_lo < -1e-11 or not 0.0 <= lam_pt_lo <= 1e-10:
+    t = 1.0 / (1.0 - n * lam_pt)
+    x = (1.0 - t) * np.eye(n, dtype=complex) / n + t * sigma
+    if float(np.linalg.eigvalsh(x)[0]) < -1e-11:
         return None
-    return (1.0 - lo) * eye + lo * sigma
+    return x
 
 
 def maximize_linear(
@@ -398,19 +373,18 @@ def maximize_linear(
     cfg = config or SolverConfig()
     if set_tag not in ("PPT", "RAINS_T"):
         raise PreconditionError(f"unknown set tag {set_tag!r}")
-    w_m = np.linalg.eigvalsh(m.mat)
+    w_m = m.spectrum.eigenvalues
     if w_m[0] < -1e-9 or w_m[-1] > 1.0 + 1e-9:
         raise PreconditionError("maximize_linear requires 0 <= M <= 1")
 
     dims = m.dims
     n = m.n
+    pt_eigs = m.pt.spectrum.eigenvalues
     if set_tag == "PPT":
         project = lambda x: _project_P_raw(x, dims, cfg)
-        pt_eigs = np.linalg.eigvalsh(partial_transpose_array(m.mat, dims))
         bound = min(float(w_m[-1]), float(pt_eigs[-1]))
     else:
         project = lambda x: _project_T_raw(x, dims, cfg)
-        pt_eigs = np.linalg.eigvalsh(partial_transpose_array(m.mat, dims))
         bound = min(max(float(w_m[-1]), 0.0), float(np.max(np.abs(pt_eigs))))
 
     sigma = np.eye(n, dtype=complex) / n
@@ -431,7 +405,7 @@ def maximize_linear(
 
     certificate = None
     if set_tag == "PPT":
-        polished = _polish_to_boundary(sigma, m.mat, dims)
+        polished = _polish_to_boundary(sigma, dims)
         if polished is not None:
             vp = float(np.vdot(m.mat, polished).real)
             if vp >= value - 1e-12:

@@ -23,7 +23,6 @@ from entbound import (
     maximize_linear,
     minimize_ree,
     neg_log_fn,
-    partial_transpose,
     ppt_functional,
     quasi_f_relative_entropy,
     rains_converse,
@@ -34,13 +33,13 @@ from entbound import (
     ree_closed_form,
     relative_entropy,
     renyi_relative_entropy,
-    sample_ppt_states,
     sandwiched_renyi,
     support_projector,
     trace_inner_product,
     trace_norm,
     verify_rains_min,
 )
+from samplers import sample_ppt_states
 from conftest import bell_state, random_positive, random_positive_state
 
 
@@ -164,8 +163,8 @@ def test_criterion_4_rains_converse():
     rng = np.random.default_rng(404)
     for _ in range(12):
         rho = random_positive_state((2, 2), rng)
-        tau = hermitian(rho.mat / trace_norm(partial_transpose(rho)), (2, 2))
-        pt_min = np.linalg.eigvalsh(partial_transpose(tau).mat)[0]
+        tau = hermitian(rho.mat / trace_norm(rho.pt), (2, 2))
+        pt_min = np.linalg.eigvalsh(tau.pt.mat)[0]
         out = rains_converse(tau, rains_functional(tau))
         if out.accepted:
             accepted += 1

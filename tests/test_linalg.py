@@ -10,15 +10,14 @@ from entbound import (
     from_json_dict,
     hermitian,
     is_psd,
-    partial_transpose,
     random_hermitian,
     random_state,
-    spectral_decompose,
     support_projector,
     to_json_dict,
     trace_inner_product,
     trace_norm,
 )
+from entbound.linalg import partial_transpose_array
 from conftest import PAULI_X, PAULI_Z, bell_state
 
 
@@ -45,18 +44,18 @@ class TestHermitianMatrix:
 
 class TestSpectralDecompose:
     def test_identity(self):
-        sd = spectral_decompose(hermitian(np.eye(2)))
+        sd = hermitian(np.eye(2)).spectrum
         assert np.allclose(sd.eigenvalues, [1.0, 1.0])
         assert np.allclose(sd.eigenvectors.conj().T @ sd.eigenvectors, np.eye(2))
 
     def test_diagonal_sorted_ascending(self):
-        sd = spectral_decompose(hermitian(np.diag([3.0, -1.0])))
+        sd = hermitian(np.diag([3.0, -1.0])).spectrum
         assert np.allclose(sd.eigenvalues, [-1.0, 3.0])
         assert np.allclose(np.abs(sd.eigenvectors), [[0.0, 1.0], [1.0, 0.0]])
 
     def test_pauli_x_by_hand(self):
         # Characteristic polynomial x^2 - 1: eigenvalues ±1 with (1, ∓1)/√2.
-        sd = spectral_decompose(hermitian(PAULI_X))
+        sd = hermitian(PAULI_X).spectrum
         assert np.allclose(sd.eigenvalues, [-1.0, 1.0])
         r = 2**-0.5
         assert np.allclose(sd.eigenvectors[:, 0], [r, -r])
@@ -65,20 +64,35 @@ class TestSpectralDecompose:
     def test_roundtrip_random(self, rng):
         for n in (2, 5, 9, 16):
             a = random_hermitian((n, 1), rng)
-            sd = spectral_decompose(a)
+            sd = a.spectrum
             v, w = sd.eigenvectors, sd.eigenvalues
             assert np.linalg.norm(v.conj().T @ v - np.eye(n)) < 1e-10
             assert np.linalg.norm((v * w) @ v.conj().T - a.mat) < 1e-10
 
     def test_deterministic_phase(self, rng):
         a = random_hermitian((3, 1), rng)
-        sd1 = spectral_decompose(a)
-        sd2 = spectral_decompose(a)
+        sd1 = a.spectrum
+        sd2 = a.spectrum
         assert np.array_equal(sd1.eigenvectors, sd2.eigenvectors)
         for k in range(3):
             col = sd1.eigenvectors[:, k]
             pivot = col[np.argmax(np.abs(col))]
             assert pivot.real > 0 and abs(pivot.imag) < 1e-12
+
+
+class TestSpectrumCache:
+    def test_computed_once_and_read_only(self, rng):
+        a = random_hermitian((2, 3), rng)
+        assert a.spectrum is a.spectrum
+        assert a.pt is a.pt
+        assert not a.spectrum.eigenvalues.flags.writeable
+        assert not a.spectrum.eigenvectors.flags.writeable
+
+    def test_pt_spectrum_matches_array_partial_transpose(self, rng):
+        for dims in ((2, 2), (2, 3), (3, 3)):
+            a = random_hermitian(dims, rng)
+            w = np.linalg.eigvalsh(partial_transpose_array(a.mat, a.dims))
+            assert np.max(np.abs(a.pt.spectrum.eigenvalues - w)) <= 1e-14 * np.max(np.abs(w))
 
 
 class TestPartialTranspose:
@@ -87,26 +101,26 @@ class TestPartialTranspose:
         b = random_state((3, 1), rng).mat
         prod = hermitian(np.kron(a, b), (2, 3))
         expected = np.kron(a, b.T)
-        assert np.allclose(partial_transpose(prod).mat, expected)
+        assert np.allclose(prod.pt.mat, expected)
 
     def test_bell_eigenvalues(self):
-        w = np.linalg.eigvalsh(partial_transpose(bell_state()).mat)
+        w = np.linalg.eigvalsh(bell_state().pt.mat)
         assert np.allclose(np.sort(w), [-0.5, 0.5, 0.5, 0.5])
 
     def test_identity_fixed(self):
         eye = hermitian(np.eye(4) / 4, (2, 2))
-        assert np.array_equal(partial_transpose(eye).mat, eye.mat)
+        assert np.array_equal(eye.pt.mat, eye.mat)
 
     def test_involution_exact(self, rng):
         a = random_hermitian((2, 3), rng)
-        assert np.array_equal(partial_transpose(partial_transpose(a)).mat, a.mat)
+        assert np.array_equal(a.pt.pt.mat, a.mat)
 
     def test_self_adjoint(self, rng):
         for _ in range(20):
             a = random_hermitian((2, 3), rng)
             b = random_hermitian((2, 3), rng)
-            lhs = trace_inner_product(partial_transpose(a), b)
-            rhs = trace_inner_product(a, partial_transpose(b))
+            lhs = trace_inner_product(a.pt, b)
+            rhs = trace_inner_product(a, b.pt)
             assert abs(lhs - rhs) < 1e-10
 
 
@@ -137,7 +151,7 @@ class TestTraceNorm:
         assert trace_norm(hermitian(np.diag([2.0, -3.0]))) == pytest.approx(5.0)
 
     def test_bell_pt(self):
-        assert trace_norm(partial_transpose(bell_state())) == pytest.approx(2.0, abs=1e-12)
+        assert trace_norm(bell_state().pt) == pytest.approx(2.0, abs=1e-12)
 
     def test_norm_axioms(self, rng):
         for _ in range(20):
@@ -175,7 +189,7 @@ class TestIsPsd:
         assert not is_psd(hermitian(np.diag([1.0, -1.0])))
 
     def test_bell_pt(self):
-        assert not is_psd(partial_transpose(bell_state()))
+        assert not is_psd(bell_state().pt)
 
 
 class TestJson:

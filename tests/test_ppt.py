@@ -8,14 +8,13 @@ from entbound import (
     hermitian,
     is_boundary_of_P,
     is_ppt,
-    partial_transpose,
     ppt_functional,
     random_boundary_state,
     random_state,
-    sample_ppt_states,
     support_projector,
     trace_inner_product,
 )
+from samplers import sample_ppt_states
 from conftest import bell_cps_anchor, bell_state
 
 
@@ -43,7 +42,7 @@ class TestBoundary:
 
         def pt_min(t):
             m = hermitian((1 - t) * eye + t * bell, (2, 2))
-            return np.linalg.eigvalsh(partial_transpose(m).mat)[0]
+            return np.linalg.eigvalsh(m.pt.mat)[0]
 
         lo, hi = 0.0, 1.0
         for _ in range(80):
@@ -100,6 +99,22 @@ class TestPptFunctional:
         f7 = ppt_functional(sigma, 7.0 * np.ones(m))
         assert np.linalg.norm(f1.phi.mat - f7.phi.mat) < 1e-12
 
+    def test_two_eigendecompositions(self, monkeypatch):
+        # One for σ* and one for σ*^Γ: every later read hits the cached spectra.
+        sigma = random_boundary_state((2, 3), 1)
+        sigma = hermitian(sigma.mat, sigma.dims)
+        calls = []
+        for name in ("eigh", "eigvalsh"):
+            original = getattr(np.linalg, name)
+
+            def counted(*args, _original=original, **kwargs):
+                calls.append(None)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, counted)
+        ppt_functional(sigma)
+        assert len(calls) == 2
+
     def test_zero_coefficients_rejected(self):
         sigma = random_boundary_state((2, 2), 3)
         m = ppt_functional(sigma).certificate.zero_eigenvectors.shape[1]
@@ -124,7 +139,7 @@ class TestRandomBoundaryState:
     def test_postcondition(self, dims):
         sigma = random_boundary_state(dims, 1)
         assert is_boundary_of_P(sigma)
-        pt_min = np.linalg.eigvalsh(partial_transpose(sigma).mat)[0]
+        pt_min = np.linalg.eigvalsh(sigma.pt.mat)[0]
         assert 0.0 <= pt_min <= 1e-10
 
     def test_deterministic(self):
@@ -135,7 +150,7 @@ class TestRandomBoundaryState:
     def test_full_rank_with_singular_pt(self):
         sigma = random_boundary_state((2, 2), 1)
         assert np.linalg.eigvalsh(sigma.mat)[0] > 1e-6
-        assert np.linalg.eigvalsh(partial_transpose(sigma).mat)[0] <= 1e-10
+        assert np.linalg.eigvalsh(sigma.pt.mat)[0] <= 1e-10
 
 
 class TestSamplePpt:

@@ -7,7 +7,6 @@ from entbound import (
     ball_functional,
     hermitian,
     is_in_T,
-    partial_transpose,
     qubit_equality_audit,
     rains_closed_form,
     rains_converse,
@@ -17,24 +16,24 @@ from entbound import (
     random_hermitian,
     random_state,
     relative_entropy,
-    sample_T,
     trace_inner_product,
     trace_norm,
     verify_rains_min,
 )
+from samplers import sample_T
 from conftest import bell_state, random_positive_state
 
 
 def scaled_to_sphere(rho):
     """tau = rho / ||rho^Gamma||_1, the log-negativity anchor candidate."""
-    return hermitian(rho.mat / trace_norm(partial_transpose(rho)), rho.dims)
+    return hermitian(rho.mat / trace_norm(rho.pt), rho.dims)
 
 
 class TestMembership:
     def test_ppt_state_on_sphere(self, rng):
         sigma = random_boundary_state((2, 2), 2)
         assert is_in_T(sigma)
-        assert trace_norm(partial_transpose(sigma)) == pytest.approx(1.0, abs=1e-9)
+        assert trace_norm(sigma.pt) == pytest.approx(1.0, abs=1e-9)
 
     def test_bell_not_in_T(self):
         assert not is_in_T(bell_state())
@@ -117,7 +116,7 @@ class TestRainsFunctional:
                 gen = np.random.default_rng(seed)
                 rho = random_state(dims, gen)
                 tau = scaled_to_sphere(rho)
-                if np.linalg.eigvalsh(partial_transpose(tau).mat)[0] < -1e-6:
+                if np.linalg.eigvalsh(tau.pt.mat)[0] < -1e-6:
                     f = rains_functional(tau)
                     assert np.linalg.eigvalsh(f.phi.mat)[0] <= 1e-9
                     found = True
@@ -128,7 +127,7 @@ class TestRainsConverse:
     def test_ppt_fixed_point(self, rng):
         # Full-rank PPT state with strictly positive PT: phi = 1, rho = tau*.
         sigma = random_positive_state((2, 2), rng)
-        if np.linalg.eigvalsh(partial_transpose(sigma).mat)[0] <= 1e-6:
+        if np.linalg.eigvalsh(sigma.pt.mat)[0] <= 1e-6:
             sigma = hermitian(0.5 * sigma.mat + 0.5 * np.eye(4) / 4, (2, 2))
         f = rains_functional(sigma)
         assert np.linalg.norm(f.phi.mat - np.eye(4)) < 1e-9
@@ -156,7 +155,7 @@ class TestRainsConverse:
             gen = np.random.default_rng(seed)
             rho = random_positive_state((2, 2), gen)
             tau = scaled_to_sphere(rho)
-            if np.linalg.eigvalsh(partial_transpose(tau).mat)[0] >= -1e-6:
+            if np.linalg.eigvalsh(tau.pt.mat)[0] >= -1e-6:
                 continue
             res = rains_converse(tau, rains_functional(tau))
             if not res.accepted:

@@ -17,10 +17,10 @@ from entbound import (
     ree_closed_form,
     random_state,
     relative_entropy,
-    sample_ppt_states,
     trace_inner_product,
     verify_cps,
 )
+from samplers import sample_ppt_states
 from conftest import bell_cps_anchor, bell_state
 
 

@@ -11,7 +11,6 @@ from entbound import (
     is_ppt,
     maximize_linear,
     minimize_ree,
-    partial_transpose,
     ppt_functional,
     project_P,
     project_T,
@@ -65,7 +64,7 @@ class TestProjectT:
         if not is_ppt(sigma):
             sigma = project_P(sigma)
         out = project_T(hermitian(2.0 * sigma.mat, (2, 2)))
-        assert trace_norm(partial_transpose(out)) <= 1.0 + 1e-8
+        assert trace_norm(out.pt) <= 1.0 + 1e-8
         assert np.linalg.eigvalsh(out.mat)[0] >= -1e-10
 
     def test_zero_is_fixed(self):
@@ -118,7 +117,7 @@ class TestMinimizeRee:
         for _ in range(5):
             rho = random_state((2, 2), rng)
             res = minimize_ree(rho, "RAINS_T")
-            ln = np.log(trace_norm(partial_transpose(rho)))
+            ln = np.log(trace_norm(rho.pt))
             assert res.value <= ln + 1e-8
             assert is_in_T(res.sigma_hat, tol=1e-8)
 
@@ -229,6 +228,20 @@ class TestMaximizeLinear:
         assert res.status == "CONVERGED"
         assert res.certificate is not None
         assert res.certificate.anchor_value == pytest.approx(1.0, abs=1e-9)
+
+    def test_boundary_certificate_attached(self):
+        # The ascent ends a rounding error outside the PPT set; the ray to the
+        # boundary still gives an anchor and its supporting functional.
+        rng = np.random.default_rng(3)
+        a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        effect = a @ a.conj().T
+        for m in (
+            random_state((2, 3), np.random.default_rng(0), rank=1),
+            hermitian(effect / np.linalg.eigvalsh(effect)[-1], (2, 2)),
+        ):
+            res = maximize_linear(m)
+            assert res.certificate is not None
+            assert res.certificate.anchor_value == pytest.approx(1.0, abs=1e-9)
 
     def test_rejects_out_of_range_m(self):
         with pytest.raises(PreconditionError):
