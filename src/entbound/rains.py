@@ -245,12 +245,13 @@ class RainsLnReport:
     """Comparison of the Rains bound against the logarithmic negativity."""
 
     verdict: str  # "EQUAL" or "STRICT"
-    max_support_overlap: float  # max over T of Tr[P_rho tau]
+    max_support_overlap: float  # max over T of Tr[P_rho tau], certified lower end
     anchor_overlap: float  # Tr[P_rho tau*] with tau* = rho / ||rho^Gamma||_1
     log_negativity: float
     rho_full_rank: bool
     rho_ppt: bool
     rains_if_equal: float | None
+    status: str  # status of the maximization over T
 
 
 def rains_vs_ln(rho: HermitianMatrix, config=None) -> RainsLnReport:
@@ -258,9 +259,11 @@ def rains_vs_ln(rho: HermitianMatrix, config=None) -> RainsLnReport:
 
     Equality holds iff the candidate minimizer τ* = ρ/‖ρ^Γ‖₁ attains the
     maximum of Tr[P_ρ τ] over T, whose value at τ* is 1/‖ρ^Γ‖₁. The
-    maximization runs on the forward solver. Full-rank non-PPT states are
-    always strict: there Tr[P_ρ τ] = Tr[τ] is maximized by PPT states at 1,
-    above the anchor overlap.
+    maximization runs on the forward solver, which brackets the maximum in
+    [value, value + gap]; EQUAL needs the bracket's upper end within 1e-6 of
+    the anchor overlap, and ``status`` is the solve's label. Full-rank
+    non-PPT states are always strict: there Tr[P_ρ τ] = Tr[τ] is maximized by
+    PPT states at 1, above the anchor overlap.
     """
     from .solver import SolverConfig, maximize_linear
 
@@ -268,20 +271,20 @@ def rains_vs_ln(rho: HermitianMatrix, config=None) -> RainsLnReport:
         config = SolverConfig()
     p_rho = support_projector(rho)
     res = maximize_linear(p_rho, config, set_tag="RAINS_T")
-    m = res.value
     anchor_overlap = 1.0 / trace_norm(rho.pt)
     ln = log_negativity(rho)
     full_rank = rank_of(rho) == rho.n
     ppt = is_ppt(rho)
-    equal = m <= anchor_overlap + 1e-6
+    equal = res.value + res.gap <= anchor_overlap + 1e-6
     return RainsLnReport(
         verdict="EQUAL" if equal else "STRICT",
-        max_support_overlap=m,
+        max_support_overlap=res.value,
         anchor_overlap=anchor_overlap,
         log_negativity=ln,
         rho_full_rank=full_rank,
         rho_ppt=ppt,
         rains_if_equal=ln if equal else None,
+        status=res.status,
     )
 
 

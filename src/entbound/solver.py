@@ -11,6 +11,14 @@ backtracks (Armijo) along the segment from σ to that projection. Every point
 of the segment is feasible by convexity, so a trial step costs one
 eigendecomposition and no projection, and the objective stays monotone per
 accepted step.
+
+Linear objectives are a small semidefinite program of their own:
+``maximize_linear`` runs ADMM (alternating direction method of multipliers;
+Wen, Goldfarb & Yin, Math. Prog. Comp. 2, 203 (2010)) on the splitting
+Y = X^Γ, with X in the unit-trace PSD set and Y in the PSD cone (PPT set) or
+X in the PSD cone and Y in the trace-norm unit ball (Rains set). Its scaled
+multiplier is a dual point, so every iterate brackets the maximum between a
+feasible value and a weak-duality bound, without Dykstra.
 """
 
 from __future__ import annotations
@@ -35,6 +43,8 @@ DYKSTRA_RESIDUAL = 1e-10
 # minimize_ree reports CONVERGED only when its certified first-order gap is
 # at most this; by convexity the minimum then lies within it below the value.
 CERT_TOL = 1e-4
+# maximize_linear stops once its certified gap is at most this.
+GAP_STOP = 1e-10
 # Iterate spectra are floored here before logs and kernels; the minimizer may
 # sit on the boundary of the PSD cone.
 EIG_FLOOR = 1e-12
@@ -63,6 +73,12 @@ def _clip_psd(mat: np.ndarray) -> np.ndarray:
     return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
+def _project_spectral(mat: np.ndarray, project_eigenvalues) -> np.ndarray:
+    """Apply a projection of real vectors to the spectrum of a Hermitian matrix."""
+    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
+    return (v * project_eigenvalues(w)) @ v.conj().T
+
+
 def _project_l1_ball(w: np.ndarray, radius: float = 1.0) -> np.ndarray:
     """Euclidean projection of a real vector onto the l1 ball (soft threshold)."""
     a = np.abs(w)
@@ -77,12 +93,19 @@ def _project_l1_ball(w: np.ndarray, radius: float = 1.0) -> np.ndarray:
     return np.sign(w) * np.clip(a - theta, 0.0, None)
 
 
+def _project_simplex(w: np.ndarray) -> np.ndarray:
+    """Euclidean projection of a real vector onto the unit simplex."""
+    u = np.sort(w)[::-1]
+    cum = np.cumsum(u) - 1.0
+    k = np.arange(1, w.size + 1)
+    j = int(np.max(np.nonzero(u > cum / k)[0]))
+    return np.clip(w - cum[j] / (j + 1), 0.0, None)
+
+
 def _project_pt_ball(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Project onto {X : ||X^Gamma||_1 <= 1}; the partial transpose is an isometry."""
     pt = partial_transpose_array(mat, dims)
-    w, v = np.linalg.eigh((pt + pt.conj().T) / 2)
-    w = _project_l1_ball(w)
-    return partial_transpose_array((v * w) @ v.conj().T, dims)
+    return partial_transpose_array(_project_spectral(pt, _project_l1_ball), dims)
 
 
 def _dykstra(x0, projections, max_cycles, feasibility, tol_feas):
@@ -334,16 +357,17 @@ class LinearSolveResult:
     gap: float
     status: str
     certificate: SupportingFunctional | None
+    iterations: int
 
 
 def _polish_to_boundary(sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray | None:
-    """Move σ along the ray from the maximally mixed state to the PT boundary.
+    """Move a state σ along the ray from the maximally mixed state to the PT boundary.
 
     On x(t) = (1 - t)·1/n + t·σ the smallest PT eigenvalue is
     (1 - t)/n + t·λmin(σ^Γ), which vanishes at t* = 1/(1 - n·λmin(σ^Γ)).
-    Linear objectives do not decrease along that ray, so x(t*) is a boundary
-    anchor with at least the same value; None when σ^Γ ⪰ 1/n (no boundary
-    on the ray) or when x(t*) is not PSD.
+    When σ is not PPT, t* < 1 and x(t*) is a mixture of two states, so it is
+    PSD; when t* > 1 its PSD-ness is checked. None when σ^Γ ⪰ 1/n (no
+    boundary on the ray) or when x(t*) is not PSD.
     """
     n = sigma.shape[0]
     lam_pt = float(np.linalg.eigvalsh(partial_transpose_array(sigma, dims))[0])
@@ -351,7 +375,7 @@ def _polish_to_boundary(sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray 
         return None
     t = 1.0 / (1.0 - n * lam_pt)
     x = (1.0 - t) * np.eye(n, dtype=complex) / n + t * sigma
-    if float(np.linalg.eigvalsh(x)[0]) < -1e-11:
+    if t > 1.0 and float(np.linalg.eigvalsh(x)[0]) < -1e-11:
         return None
     return x
 
@@ -363,12 +387,27 @@ def maximize_linear(
 ) -> LinearSolveResult:
     """Maximize Tr[Mσ] over the PPT set (or over the Rains set).
 
-    Projected ascent with a doubling/halving step on the constant gradient M.
-    ``gap`` is measured against the spectral upper bound
-    min(λmax(M), λmax(M^Γ)) for the PPT set (trace-norm variant for the Rains
-    set), which is tight at supporting-functional optima. For the PPT set the
-    anchor is polished onto the boundary and the supporting-functional
-    certificate is attached when that succeeds.
+    ADMM on the semidefinite program: X lies in C1 and Y = X^Γ in C2, where
+    C1 is the spectraplex {X ⪰ 0, Tr X = 1} and C2 the PSD cone for the PPT
+    set, and C1 is the PSD cone and C2 the trace-norm unit ball for the Rains
+    set. With scaled multiplier U and penalty 1, each iteration is
+    X ← Π_C1((Y - U)^Γ + M), Y ← Π_C2(X^Γ + U), U ← U + X^Γ - Y; every
+    projection is one eigendecomposition and a closed-form step on its
+    eigenvalues.
+
+    U is a dual point, and weak duality turns it into an upper bound on the
+    maximum. For the PPT set it is λmax(M + B^Γ) with B = -U, which is PSD
+    because the Y step leaves U the negative part of X^Γ + U. For the Rains
+    set it is ‖Λ‖_op with Λ = U + μ·1 and μ = max(0, λmax(M - U^Γ)), so that
+    Λ^Γ ⪰ M. The feasible σ̂ is X moved onto the PPT boundary along the ray
+    from the maximally mixed state (X itself when the ray has no boundary
+    point) for the PPT set, and X / max(1, ‖X^Γ‖₁) for the Rains set.
+    ``value`` is Tr[Mσ̂] and ``gap`` the bound minus ``value``, so the maximum
+    lies in [value, value + gap]. The loop stops once the gap is at most
+    GAP_STOP or after ``config.max_iters`` iterations. CONVERGED means σ̂ is
+    feasible within ``config.tol_feas`` and the gap is at most 1e-6. For the
+    PPT set the supporting functional at σ̂ is attached when σ̂ lies on the
+    boundary.
     """
     cfg = config or SolverConfig()
     if set_tag not in ("PPT", "RAINS_T"):
@@ -379,50 +418,62 @@ def maximize_linear(
 
     dims = m.dims
     n = m.n
-    pt_eigs = m.pt.spectrum.eigenvalues
+    mm = m.mat
+
+    def pt(x):
+        return partial_transpose_array(x, dims)
+
     if set_tag == "PPT":
-        project = lambda x: _project_P_raw(x, dims, cfg)
-        bound = min(float(w_m[-1]), float(pt_eigs[-1]))
+        project_x = lambda x: _project_spectral(x, _project_simplex)
+        project_y = _clip_psd
+        feasibility = _ppt_feasibility
+
+        def feasible(x):
+            polished = _polish_to_boundary(x, dims)
+            return x if polished is None else polished
+
+        upper_bound = lambda u, lam: lam
+
     else:
-        project = lambda x: _project_T_raw(x, dims, cfg)
-        bound = min(max(float(w_m[-1]), 0.0), float(np.max(np.abs(pt_eigs))))
+        project_x = _clip_psd
+        project_y = lambda y: _project_spectral(y, _project_l1_ball)
+        feasibility = _t_feasibility
 
-    sigma = np.eye(n, dtype=complex) / n
-    value = float(np.vdot(m.mat, sigma).real)
-    t = max(1.0, cfg.step_init)
-    for _ in range(cfg.max_iters):
-        if bound - value <= 1e-9:
+        def feasible(x):
+            return x / max(1.0, float(np.sum(np.abs(np.linalg.eigvalsh(pt(x))))))
+
+        def upper_bound(u, lam):
+            return float(np.max(np.abs(np.linalg.eigvalsh(u) + max(0.0, lam))))
+
+    y = np.eye(n, dtype=complex) / n
+    u = np.zeros((n, n), dtype=complex)
+    for iterations in range(1, cfg.max_iters + 1):
+        x = project_x(pt(y - u) + mm)
+        z = pt(x) + u
+        y = project_y(z)
+        u = z - y
+        sigma = feasible(x)
+        value = float(np.vdot(mm, sigma).real)
+        # λmax(M - U^Γ) is the PPT bound itself and the Rains set's shift μ.
+        gap = upper_bound(u, float(np.linalg.eigvalsh(mm - pt(u))[-1])) - value
+        if gap <= GAP_STOP:
             break
-        cand = project(sigma + t * m.mat)
-        vc = float(np.vdot(m.mat, cand).real)
-        if vc > value + 1e-14:
-            sigma, value = cand, vc
-            t *= 2.0
-        else:
-            t *= 0.5
-            if t < 1e-10:
-                break
 
+    sigma_h = hermitian(sigma, dims)
     certificate = None
     if set_tag == "PPT":
-        polished = _polish_to_boundary(sigma, dims)
-        if polished is not None:
-            vp = float(np.vdot(m.mat, polished).real)
-            if vp >= value - 1e-12:
-                sigma, value = polished, vp
-                anchor = hermitian(sigma, dims)
-                try:
-                    if is_boundary_of_P(anchor):
-                        certificate = ppt_functional(anchor)
-                except PreconditionError:
-                    certificate = None
+        try:
+            if is_boundary_of_P(sigma_h):
+                certificate = ppt_functional(sigma_h)
+        except PreconditionError:
+            certificate = None
 
-    gap = bound - value
-    status = "CONVERGED" if gap <= 1e-6 else "NONCONVERGED"
+    converged = feasibility(sigma, dims) <= cfg.tol_feas and gap <= 1e-6
     return LinearSolveResult(
-        sigma_hat=hermitian(sigma, dims),
+        sigma_hat=sigma_h,
         value=value,
         gap=gap,
-        status=status,
+        status="CONVERGED" if converged else "NONCONVERGED",
         certificate=certificate,
+        iterations=iterations,
     )

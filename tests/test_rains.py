@@ -240,6 +240,15 @@ class TestRainsVsLn:
         assert report.rho_full_rank
         assert report.verdict == "STRICT"
 
+    def test_rank_two_strict_from_certified_maximum(self):
+        # The maximum over T, 0.8883140106, lies well above the anchor overlap.
+        rho = random_state((3, 3), np.random.default_rng(2), rank=2)
+        report = rains_vs_ln(rho)
+        assert report.status == "CONVERGED"
+        assert report.max_support_overlap == pytest.approx(0.8883140106, abs=1e-9)
+        assert report.verdict == "STRICT"
+        assert report.anchor_overlap < report.max_support_overlap
+
 
 class TestQubitEqualityAudit:
     def test_nonconverged_solves_fail_the_audit(self):

@@ -22,7 +22,8 @@ from entbound import (
     trace_norm,
 )
 from entbound import solver
-from entbound.solver import CERT_TOL, _ppt_feasibility
+from entbound.solver import CERT_TOL, _ppt_feasibility, _t_feasibility
+from entbound.linalg import support_projector
 from conftest import bell_cps_anchor, bell_state
 
 
@@ -211,10 +212,68 @@ class TestProjectionCount:
         assert len(calls) == res.iterations
 
 
+def ginibre_effect(dims, seed):
+    n = dims[0] * dims[1]
+    rng = np.random.default_rng(seed)
+    a = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    effect = a @ a.conj().T
+    return hermitian(effect / np.linalg.eigvalsh(effect)[-1], dims)
+
+
+# Effects with their maxima over the Rains set, certified to 1e-10.
+RAINS_MAXIMA = [
+    pytest.param(lambda: ginibre_effect((2, 2), 3), 0.8041550063, id="ginibre-2x2"),
+    pytest.param(
+        lambda: support_projector(random_state((3, 3), np.random.default_rng(2), rank=2)),
+        0.8883140106,
+        id="support-3x3-rank2",
+    ),
+]
+
+
 class TestMaximizeLinear:
     def test_identity_gives_one(self):
         res = maximize_linear(hermitian(np.eye(4), (2, 2)))
         assert res.value == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_identity_stops_early(self, set_tag):
+        res = maximize_linear(hermitian(np.eye(4), (2, 2)), set_tag=set_tag)
+        assert res.iterations <= 2
+        assert res.status == "CONVERGED"
+
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_iteration_cap_is_nonconverged_with_valid_bracket(self, set_tag):
+        m = ginibre_effect((2, 2), 3)
+        res = maximize_linear(m, SolverConfig(max_iters=2), set_tag=set_tag)
+        full = maximize_linear(m, set_tag=set_tag)
+        assert res.iterations == 2
+        assert res.status == "NONCONVERGED"
+        assert np.isfinite(res.gap) and res.gap >= 0.0
+        assert res.value <= full.value + 1e-10
+        assert res.value + res.gap >= full.value + full.gap - 1e-10
+
+    @pytest.mark.parametrize("make_m, expected", RAINS_MAXIMA)
+    def test_rains_result_is_feasible_and_certified(self, make_m, expected):
+        m = make_m()
+        res = maximize_linear(m, set_tag="RAINS_T")
+        assert _t_feasibility(res.sigma_hat.mat, m.dims) <= SolverConfig().tol_feas
+        assert 0.0 <= res.gap <= 1e-6
+        assert res.value <= 1.0
+        assert res.value == pytest.approx(expected, abs=1e-9)
+        assert res.status == "CONVERGED"
+
+    @pytest.mark.parametrize(
+        "m",
+        [ginibre_effect((2, 2), 3), ginibre_effect((2, 3), 4), ginibre_effect((3, 3), 5)],
+        ids=["2x2", "2x3", "3x3"],
+    )
+    def test_ppt_result_is_feasible_and_certified(self, m):
+        res = maximize_linear(m)
+        assert _ppt_feasibility(res.sigma_hat.mat, m.dims) <= SolverConfig().tol_feas
+        assert 0.0 <= res.gap <= 1e-6
+        assert res.status == "CONVERGED"
+        assert res.certificate is not None
 
     def test_pure_product_projector_gives_one(self):
         ket = np.zeros(4)
@@ -230,8 +289,8 @@ class TestMaximizeLinear:
         assert res.certificate.anchor_value == pytest.approx(1.0, abs=1e-9)
 
     def test_boundary_certificate_attached(self):
-        # The ascent ends a rounding error outside the PPT set; the ray to the
-        # boundary still gives an anchor and its supporting functional.
+        # The ADMM iterate ends a rounding error outside the PPT set; the ray to
+        # the boundary still gives an anchor and its supporting functional.
         rng = np.random.default_rng(3)
         a = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         effect = a @ a.conj().T
