@@ -8,6 +8,10 @@ eigenvector) supports hyperplanes of the form
 where |φ_i⟩ runs over the zero eigenvectors of σ*^Γ. Then Tr[φσ] ≤ 1 for all
 PPT σ with equality at σ*, and the coefficients are rescaled so that
 Tr[(P_σ* - φ)²] = 1.
+
+Whether a given φ attains its maximum over the PPT set or the Rains set at
+a point is decided by one weak-duality bound, `dual_bound`, which every
+certificate in the package evaluates at its own dual point.
 """
 
 from __future__ import annotations
@@ -140,6 +144,31 @@ def functional_from_json_dict(d: dict) -> SupportingFunctional:
     except (KeyError, TypeError, ValueError) as exc:
         raise DimensionMismatchError(f"malformed functional object: {exc}") from exc
     return SupportingFunctional(phi=phi, anchor=anchor, set_tag=tag, certificate=cert)
+
+
+def dual_bound(
+    phi: np.ndarray, dims: tuple[int, int], set_tag: str, b: np.ndarray
+) -> float:
+    """Weak-duality upper bound on max Tr[φσ] over the PPT set or the Rains set.
+
+    ``phi`` and the dual point ``b`` are Hermitian arrays on the bipartition
+    ``dims``; every certificate of the package is this bound at its own B.
+
+    - "PPT": λmax(φ + B^Γ), valid for B ⪰ 0, since every PPT state σ has
+      Tr[φσ] ≤ Tr[(φ + B^Γ)σ] ≤ λmax(φ + B^Γ).
+    - "RAINS_T": ‖B + μ·1‖_op with μ = max(0, λmax(φ - B^Γ)), valid for any
+      Hermitian B: Λ = B + μ·1 has Λ^Γ ⪰ φ, so every τ ⪰ 0 with ‖τ^Γ‖₁ ≤ 1
+      has Tr[φτ] ≤ Tr[Λ^Γ τ] = Tr[Λ τ^Γ] ≤ ‖Λ‖_op.
+
+    B is not checked; the caller builds it in the valid domain.
+    """
+    b_pt = partial_transpose_array(b, dims)
+    if set_tag == "PPT":
+        return float(np.linalg.eigvalsh(phi + b_pt)[-1])
+    if set_tag == "RAINS_T":
+        mu = max(0.0, float(np.linalg.eigvalsh(phi - b_pt)[-1]))
+        return float(np.max(np.abs(np.linalg.eigvalsh(b) + mu)))
+    raise PreconditionError(f"unknown set tag {set_tag!r}")
 
 
 def is_ppt(sigma: HermitianMatrix, tol: float | None = None) -> bool:

@@ -29,7 +29,7 @@ from .linalg import (
     trace_norm,
 )
 from .divergences import log_negativity, von_neumann_entropy, xlogx
-from .ppt import RainsCertificate, SupportingFunctional, is_ppt
+from .ppt import RainsCertificate, SupportingFunctional, dual_bound, is_ppt
 
 
 def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
@@ -176,10 +176,10 @@ def verify_rains_min(
     projector-pair certificate form in the eigenbasis of τ*^Γ (identity on the
     positive eigenspace, minus identity on the negative one, a contraction on
     the nullspace, no cross terms). The inequality itself is certified by
-    weak duality: every τ ∈ T has Tr[φ̂τ] = Tr[φ̂^Γ τ^Γ] ≤ ‖φ̂^Γ‖_op, so
-    ``max_violation`` = ‖φ̂^Γ‖_op - Tr[φ̂τ*] is a certified upper bound on
-    max over T of Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it is at most
-    ``dual_tol``.
+    the weak-duality bound `ppt.dual_bound` on T at B = φ̂^Γ, which reads
+    ‖φ̂^Γ‖_op; ``max_violation``, that bound minus Tr[φ̂τ*], is a certified
+    upper bound on max over T of Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it
+    is at most ``dual_tol``.
     """
     if abs(rho.trace() - 1.0) > 1e-9 or min_eigenvalue(rho) < -1e-9:
         raise PreconditionError("rho must be a unit-trace PSD state")
@@ -211,7 +211,9 @@ def verify_rains_min(
         if np.max(np.abs(np.linalg.eigvalsh((q_block + q_block.conj().T) / 2))) > 1.0 + form_tol:
             form_ok = False
 
-    max_violation = float(np.max(np.abs(phi_hat_pt.spectrum.eigenvalues))) - anchor_value
+    max_violation = (
+        dual_bound(phi_hat.mat, tau_star.dims, "RAINS_T", phi_hat_pt.mat) - anchor_value
+    )
     dual_ok = max_violation <= dual_tol
 
     return RainsMinCertificate(
@@ -314,9 +316,16 @@ def qubit_equality_audit(
 
     With one qubit subsystem the two must agree, and every solve must be
     CONVERGED; other dimensions are audited report-only with no pass bar.
+    Both subsystems need dimension at least 2 (every state of a 1×n split is
+    PPT, so no sample would ever be drawn) and ``samples`` must be at least
+    1 (a PASS needs a solve behind it).
     """
     from .solver import SolverConfig, minimize_ree
 
+    if min(dims) < 2:
+        raise PreconditionError(f"both subsystems need dimension >= 2, got {dims}")
+    if samples < 1:
+        raise PreconditionError(f"samples must be at least 1, got {samples}")
     if config is None:
         config = SolverConfig()
     rng = np.random.default_rng(seed)

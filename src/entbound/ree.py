@@ -34,6 +34,7 @@ from .linalg import (
 from .divergences import SUPPORT_ATOL, von_neumann_entropy, xlogx
 from .ppt import (
     SupportingFunctional,
+    dual_bound,
     functional_from_json_dict,
     functional_to_json_dict,
     pt_zero_subspace,
@@ -129,8 +130,9 @@ def build_family(
         singular_cap_applied=cap_applied,
         direction_psd=direction_psd,
     )
-    for x in (0.0, x_max / 2, x_max):
-        rho_x = fam.state(x)
+    # ρ(0) = σ*; trace is affine and PSD-ness convex, so the two ends of the
+    # segment vouch for every point between them.
+    for x, rho_x in ((0.0, sigma_star), (x_max, fam.state(x_max))):
         if abs(rho_x.trace() - 1.0) > 1e-9:
             raise PreconditionError(f"trace broke along the family at x={x}")
         if min_eigenvalue(rho_x) < -1e-9:
@@ -198,18 +200,17 @@ def verify_cps(
 ) -> CpsCertificate:
     """Check the minimization criterion Tr[φ̂σ] ≤ Tr[φ̂σ*] with φ̂ = L_σ*(ρ).
 
-    The check is a weak-duality certificate: for every B ⪰ 0 and every PPT
-    state σ, Tr[φ̂σ] ≤ Tr[(φ̂ + B^Γ)σ] ≤ λmax(φ̂ + B^Γ). B is the PSD part of
-    (1 - φ̂)^Γ compressed onto the zero eigenspace of σ*^Γ (zero when that
-    space is empty), which is exact when φ̂ has the PPT hyperplane form.
-    ``max_violation`` = λmax(φ̂ + B^Γ) - Tr[φ̂σ*] is therefore a certified
-    upper bound on max over PPT σ of Tr[φ̂σ] - Tr[φ̂σ*], and PASS means it is
-    at most ``tol``. On FAIL, ``violator`` is the farthest PPT state on the
-    segment from σ* toward the top eigenvector of φ̂ + B^Γ, when that state
-    violates by more than ``tol``. ``form_matched`` reports the structural
-    match (1 - φ̂ has a PSD partial transpose supported on the zero
-    eigenspace) for full-rank anchors. For a singular anchor the criterion
-    is sufficient only.
+    The check is the weak-duality bound `ppt.dual_bound` on the PPT set at
+    B, the PSD part of (1 - φ̂)^Γ compressed onto the zero eigenspace of σ*^Γ
+    (zero when that space is empty), which is exact when φ̂ has the PPT
+    hyperplane form. ``max_violation``, that bound minus Tr[φ̂σ*], is
+    therefore a certified upper bound on max over PPT σ of Tr[φ̂σ] -
+    Tr[φ̂σ*], and PASS means it is at most ``tol``. On FAIL, ``violator`` is
+    the farthest PPT state on the segment from σ* toward the top eigenvector
+    of φ̂ + B^Γ, when that state violates by more than ``tol``.
+    ``form_matched`` reports the structural match (1 - φ̂ has a PSD partial
+    transpose supported on the zero eigenspace) for full-rank anchors. For a
+    singular anchor the criterion is sufficient only.
     """
     p = support_projector(sigma_star)
     outside = rho.trace() - trace_inner_product(rho, p)
@@ -240,14 +241,13 @@ def verify_cps(
                 form_matched = True
                 form_coefficients = w
 
-    dual = phi_hat.mat + hermitian(b, sigma_star.dims).pt.mat
-    w_dual, v_dual = np.linalg.eigh(dual)
-    max_violation = float(w_dual[-1]) - anchor_value
+    dims = sigma_star.dims
+    max_violation = dual_bound(phi_hat.mat, dims, "PPT", b) - anchor_value
     passed = max_violation <= tol
 
     violator = None
     if not passed:
-        top = v_dual[:, -1]
+        top = np.linalg.eigh(phi_hat.mat + partial_transpose_array(b, dims))[1][:, -1]
         candidate = _farthest_ppt_on_segment(sigma_star, np.outer(top, top.conj()))
         if trace_inner_product(phi_hat, candidate) - anchor_value > tol:
             violator = candidate

@@ -19,6 +19,11 @@ Y = X^Γ, with X in the unit-trace PSD set and Y in the PSD cone (PPT set) or
 X in the PSD cone and Y in the trace-norm unit ball (Rains set). Its scaled
 multiplier is a dual point, so every iterate brackets the maximum between a
 feasible value and a weak-duality bound, without Dykstra.
+
+Both solvers certify their results with one bound, `ppt.dual_bound`, each at
+a dual point of its own. `SolverConfig` holds only the two iteration caps;
+the step and tolerance settings are the module constants STEP_INIT,
+ARMIJO_BETA, TOL_GRAD and TOL_FEAS.
 """
 
 from __future__ import annotations
@@ -37,7 +42,7 @@ from .linalg import (
 )
 from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
 from .frechet import divided_differences, log_fn
-from .ppt import SupportingFunctional, is_boundary_of_P, ppt_functional
+from .ppt import SupportingFunctional, dual_bound, is_boundary_of_P, ppt_functional
 
 DYKSTRA_RESIDUAL = 1e-10
 # minimize_ree reports CONVERGED only when its certified first-order gap is
@@ -48,35 +53,37 @@ GAP_STOP = 1e-10
 # Iterate spectra are floored here before logs and kernels; the minimizer may
 # sit on the boundary of the PSD cone.
 EIG_FLOOR = 1e-12
+# minimize_ree: the first Barzilai-Borwein step is STEP_INIT/max(1, ‖g‖), each
+# rejected Armijo trial scales the step by ARMIJO_BETA, and the loop stops
+# once an accepted step moves σ by at most TOL_GRAD.
+STEP_INIT = 1.0
+ARMIJO_BETA = 0.5
+TOL_GRAD = 1e-9
+# Feasibility residual a result needs for CONVERGED, and a public projection
+# needs to return at all.
+TOL_FEAS = 1e-9
 
 
 @dataclass(frozen=True)
 class SolverConfig:
+    """Iteration caps: solver iterations, and Dykstra cycles per projection."""
+
     max_iters: int = 400
-    step_init: float = 1.0
-    armijo_beta: float = 0.5
-    tol_grad: float = 1e-9
-    tol_feas: float = 1e-9
     dykstra_iters: int = 2000
 
     def __post_init__(self) -> None:
         if min(self.max_iters, self.dykstra_iters) <= 0:
             raise PreconditionError("iteration limits must be positive")
-        if min(self.step_init, self.tol_grad, self.tol_feas) <= 0:
-            raise PreconditionError("steps and tolerances must be positive")
-        if not 0.0 < self.armijo_beta < 1.0:
-            raise PreconditionError("armijo_beta must lie in (0, 1)")
-
-
-def _clip_psd(mat: np.ndarray) -> np.ndarray:
-    w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
-    return (v * np.maximum(w, 0.0)) @ v.conj().T
 
 
 def _project_spectral(mat: np.ndarray, project_eigenvalues) -> np.ndarray:
     """Apply a projection of real vectors to the spectrum of a Hermitian matrix."""
     w, v = np.linalg.eigh((mat + mat.conj().T) / 2)
     return (v * project_eigenvalues(w)) @ v.conj().T
+
+
+def _clip_psd(mat: np.ndarray) -> np.ndarray:
+    return _project_spectral(mat, lambda w: np.maximum(w, 0.0))
 
 
 def _project_l1_ball(w: np.ndarray, radius: float = 1.0) -> np.ndarray:
@@ -108,7 +115,7 @@ def _project_pt_ball(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return partial_transpose_array(_project_spectral(pt, _project_l1_ball), dims)
 
 
-def _dykstra(x0, projections, max_cycles, feasibility, tol_feas):
+def _dykstra(x0, projections, max_cycles, feasibility):
     x = x0
     incs = [np.zeros_like(x0) for _ in projections]
     for _ in range(max_cycles):
@@ -117,7 +124,7 @@ def _dykstra(x0, projections, max_cycles, feasibility, tol_feas):
             z = x + incs[i]
             x = proj(z)
             incs[i] = z - x
-        if np.linalg.norm(x - x_prev) <= DYKSTRA_RESIDUAL and feasibility(x) <= tol_feas:
+        if np.linalg.norm(x - x_prev) <= DYKSTRA_RESIDUAL and feasibility(x) <= TOL_FEAS:
             break
     return x
 
@@ -148,7 +155,6 @@ def _project_P_raw(mat: np.ndarray, dims: tuple[int, int], config: SolverConfig)
         projections,
         config.dykstra_iters,
         lambda x: _ppt_feasibility(x, dims),
-        config.tol_feas,
     )
 
 
@@ -162,16 +168,15 @@ def _project_T_raw(mat: np.ndarray, dims: tuple[int, int], config: SolverConfig)
         projections,
         config.dykstra_iters,
         lambda x: _t_feasibility(x, dims),
-        config.tol_feas,
     )
 
 
-def _require_feasible(feasibility: float, tol_feas: float, set_name: str) -> None:
-    # _dykstra only stops short of tol_feas at its cycle cap.
-    if feasibility > tol_feas:
+def _require_feasible(feasibility: float, set_name: str) -> None:
+    # _dykstra only stops short of TOL_FEAS at its cycle cap.
+    if feasibility > TOL_FEAS:
         raise ConvergenceError(
             f"projection onto {set_name} hit the Dykstra cycle cap with feasibility "
-            f"residual {feasibility:.3e} > tol_feas = {tol_feas:.1e}"
+            f"residual {feasibility:.3e} > TOL_FEAS = {TOL_FEAS:.1e}"
         )
 
 
@@ -179,11 +184,11 @@ def project_P(a: HermitianMatrix, config: SolverConfig | None = None) -> Hermiti
     """Frobenius projection onto the PPT states (Dykstra over three sets).
 
     Raises ConvergenceError when the output's feasibility residual exceeds
-    ``config.tol_feas``.
+    TOL_FEAS.
     """
     cfg = config or SolverConfig()
     out = _project_P_raw(a.mat, a.dims, cfg)
-    _require_feasible(_ppt_feasibility(out, a.dims), cfg.tol_feas, "the PPT set")
+    _require_feasible(_ppt_feasibility(out, a.dims), "the PPT set")
     return hermitian(out, a.dims)
 
 
@@ -191,11 +196,11 @@ def project_T(a: HermitianMatrix, config: SolverConfig | None = None) -> Hermiti
     """Frobenius projection onto the Rains set (Dykstra over two sets).
 
     Raises ConvergenceError when the output's feasibility residual exceeds
-    ``config.tol_feas``.
+    TOL_FEAS.
     """
     cfg = config or SolverConfig()
     out = _project_T_raw(a.mat, a.dims, cfg)
-    _require_feasible(_t_feasibility(out, a.dims), cfg.tol_feas, "the Rains set")
+    _require_feasible(_t_feasibility(out, a.dims), "the Rains set")
     return hermitian(out, a.dims)
 
 
@@ -220,17 +225,17 @@ def minimize_ree(
 
     Spectral projected gradient from the maximally mixed start: each
     iteration computes d = Π(σ - t·g) - σ, one projection of the
-    Barzilai-Borwein step t, and backtracks α ← ``armijo_beta``·α from α = 1
+    Barzilai-Borwein step t, and backtracks α ← ARMIJO_BETA·α from α = 1
     on σ + α·d until f(σ + α·d) ≤ f(σ) - 1e-4·α·⟨g, -d⟩, with g the
     gradient at σ; a trial is one objective evaluation, never a projection.
 
-    ``cert_gap`` is a weak-duality bound on the first-order gap, the maximum
-    over the set of Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): min(λmax φ̂, λmax φ̂^Γ)
-    - Tr[φ̂σ̂] for the PPT set, min(max(λmax φ̂, 0), ‖φ̂^Γ‖_op) - Tr[φ̂σ̂]
-    for the Rains set.
+    ``cert_gap`` bounds the first-order gap, the maximum over the set of
+    Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smaller `ppt.dual_bound` of φ̂
+    at B = 0 and at B = λmax(φ̂^Γ)·1 - φ̂^Γ (PPT set) or B = φ̂^Γ (Rains set),
+    minus Tr[φ̂σ̂].
     By convexity the minimum lies in [value - cert_gap, value] whenever σ̂ is
-    feasible. CONVERGED means exactly that: σ̂ is feasible within
-    ``config.tol_feas`` and ``cert_gap`` is at most CERT_TOL.
+    feasible. CONVERGED means exactly that: σ̂ is feasible within TOL_FEAS
+    and ``cert_gap`` is at most CERT_TOL.
 
     For the Rains set the candidate pool always contains ρ/‖ρ^Γ‖₁, so the
     returned value never exceeds the logarithmic negativity. ``start``
@@ -282,7 +287,7 @@ def minimize_ree(
         sigma = project(start.mat)
     f, cache = evaluate(sigma)
     g = gradient(cache)
-    t = cfg.step_init / max(1.0, float(np.linalg.norm(g)))
+    t = STEP_INIT / max(1.0, float(np.linalg.norm(g)))
     trace = [f]
     iterations = 0
     for k in range(cfg.max_iters):
@@ -299,7 +304,7 @@ def minimize_ree(
             if fc <= f - 1e-4 * alpha * decrease + 1e-15:
                 accepted = True
                 break
-            alpha *= cfg.armijo_beta
+            alpha *= ARMIJO_BETA
         if not accepted:
             break
         s = cand - sigma
@@ -310,7 +315,7 @@ def minimize_ree(
         sigma, f, g = cand, fc, g_new
         trace.append(f)
         t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
-        if np.sqrt(ss) <= cfg.tol_grad and k >= 2:
+        if np.sqrt(ss) <= TOL_GRAD and k >= 2:
             break
 
     # Best feasible candidate wins; any feasible point upper-bounds the minimum.
@@ -327,19 +332,21 @@ def minimize_ree(
     phi_hat = -gradient(best_cache)
     anchor = float(np.vdot(phi_hat, sigma).real)
 
-    lam_phi = float(np.linalg.eigvalsh(phi_hat)[-1])
-    pt_eigs = np.linalg.eigvalsh(partial_transpose_array(phi_hat, dims))
+    phi_pt = partial_transpose_array(phi_hat, dims)
     if set_tag == "PPT":
-        bound = min(lam_phi, float(pt_eigs[-1]))
+        b = float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt
     else:
-        bound = min(max(lam_phi, 0.0), max(float(np.max(np.abs(pt_eigs))), 0.0))
-    cert_gap = bound - anchor
+        b = phi_pt
+    cert_gap = min(
+        dual_bound(phi_hat, dims, set_tag, np.zeros_like(phi_hat)),
+        dual_bound(phi_hat, dims, set_tag, b),
+    ) - anchor
 
     sigma_h = hermitian(sigma, dims)
     value = relative_entropy(rho, sigma_h)
     # The internal projections may stop at their cycle cap on an infeasible
     # point, and the bracket's upper end needs a feasible one.
-    converged = feasibility(sigma, dims) <= cfg.tol_feas and cert_gap <= CERT_TOL
+    converged = feasibility(sigma, dims) <= TOL_FEAS and cert_gap <= CERT_TOL
     return SolveResult(
         sigma_hat=sigma_h,
         value=value,
@@ -395,17 +402,16 @@ def maximize_linear(
     projection is one eigendecomposition and a closed-form step on its
     eigenvalues.
 
-    U is a dual point, and weak duality turns it into an upper bound on the
-    maximum. For the PPT set it is λmax(M + B^Γ) with B = -U, which is PSD
-    because the Y step leaves U the negative part of X^Γ + U. For the Rains
-    set it is ‖Λ‖_op with Λ = U + μ·1 and μ = max(0, λmax(M - U^Γ)), so that
-    Λ^Γ ⪰ M. The feasible σ̂ is X moved onto the PPT boundary along the ray
+    U is a dual point, and `ppt.dual_bound` turns it into an upper bound on
+    the maximum: at B = -U for the PPT set, which is PSD because the Y step
+    leaves U the negative part of X^Γ + U, and at B = U for the Rains set.
+    The feasible σ̂ is X moved onto the PPT boundary along the ray
     from the maximally mixed state (X itself when the ray has no boundary
     point) for the PPT set, and X / max(1, ‖X^Γ‖₁) for the Rains set.
     ``value`` is Tr[Mσ̂] and ``gap`` the bound minus ``value``, so the maximum
     lies in [value, value + gap]. The loop stops once the gap is at most
     GAP_STOP or after ``config.max_iters`` iterations. CONVERGED means σ̂ is
-    feasible within ``config.tol_feas`` and the gap is at most 1e-6. For the
+    feasible within TOL_FEAS and the gap is at most 1e-6. For the
     PPT set the supporting functional at σ̂ is attached when σ̂ lies on the
     boundary.
     """
@@ -432,8 +438,6 @@ def maximize_linear(
             polished = _polish_to_boundary(x, dims)
             return x if polished is None else polished
 
-        upper_bound = lambda u, lam: lam
-
     else:
         project_x = _clip_psd
         project_y = lambda y: _project_spectral(y, _project_l1_ball)
@@ -441,9 +445,6 @@ def maximize_linear(
 
         def feasible(x):
             return x / max(1.0, float(np.sum(np.abs(np.linalg.eigvalsh(pt(x))))))
-
-        def upper_bound(u, lam):
-            return float(np.max(np.abs(np.linalg.eigvalsh(u) + max(0.0, lam))))
 
     y = np.eye(n, dtype=complex) / n
     u = np.zeros((n, n), dtype=complex)
@@ -454,8 +455,7 @@ def maximize_linear(
         u = z - y
         sigma = feasible(x)
         value = float(np.vdot(mm, sigma).real)
-        # λmax(M - U^Γ) is the PPT bound itself and the Rains set's shift μ.
-        gap = upper_bound(u, float(np.linalg.eigvalsh(mm - pt(u))[-1])) - value
+        gap = dual_bound(mm, dims, set_tag, -u if set_tag == "PPT" else u) - value
         if gap <= GAP_STOP:
             break
 
@@ -468,7 +468,7 @@ def maximize_linear(
         except PreconditionError:
             certificate = None
 
-    converged = feasibility(sigma, dims) <= cfg.tol_feas and gap <= 1e-6
+    converged = feasibility(sigma, dims) <= TOL_FEAS and gap <= 1e-6
     return LinearSolveResult(
         sigma_hat=sigma_h,
         value=value,

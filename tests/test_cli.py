@@ -156,6 +156,16 @@ class TestMisc:
         assert d["max_gap"] < 5e-4
         assert d["nonconverged"] == 0
 
+    @pytest.mark.parametrize(
+        "dims, samples", [("1x2", "1"), ("2x2", "0"), ("2x2", "-3")]
+    )
+    def test_audit_without_evidence_exit_two(self, capsys, dims, samples):
+        code, out = run(
+            capsys, "audit", "qubit-equality", "--dims", dims, "--samples", samples, "--seed", "0"
+        )
+        assert code == 2
+        assert "error" in json.loads(out)
+
     def test_malformed_input_exit_two(self, tmp_path, capsys):
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")

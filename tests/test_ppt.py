@@ -14,7 +14,9 @@ from entbound import (
     support_projector,
     trace_inner_product,
 )
-from samplers import sample_ppt_states
+from entbound.linalg import partial_transpose_array
+from entbound.ppt import dual_bound
+from samplers import sample_T, sample_ppt_states
 from conftest import bell_cps_anchor, bell_state
 
 
@@ -164,3 +166,48 @@ class TestSamplePpt:
                 assert np.linalg.eigvalsh(s)[0] > -1e-12
                 pt = s.reshape(n1, n2, n1, n2).transpose(0, 3, 2, 1).reshape(n, n)
                 assert np.linalg.eigvalsh(pt)[0] > -1e-10
+
+
+def _random_hermitian_array(n, rng):
+    g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    return (g + g.conj().T) / 2
+
+
+class TestDualBound:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_bounds_the_ppt_batch(self, dims, rng):
+        n = dims[0] * dims[1]
+        batch = sample_ppt_states(dims, 500, rng)
+        for _ in range(5):
+            phi = _random_hermitian_array(n, rng)
+            g = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+            b = rng.uniform() * g @ g.conj().T
+            best = float(np.max(np.einsum("ij,kji->k", phi, batch).real))
+            assert dual_bound(phi, dims, "PPT", b) >= best - 1e-12
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_bounds_the_rains_batch(self, dims, rng):
+        n = dims[0] * dims[1]
+        batch = sample_T(dims, 500, rng)
+        for _ in range(5):
+            phi = _random_hermitian_array(n, rng)
+            b = _random_hermitian_array(n, rng)
+            best = float(np.max(np.einsum("ij,kji->k", phi, batch).real))
+            assert dual_bound(phi, dims, "RAINS_T", b) >= best - 1e-12
+
+    @pytest.mark.parametrize("shift", [0.0, -10.0])
+    def test_reproduces_the_closed_forms(self, shift, rng):
+        dims = (2, 3)
+        phi = _random_hermitian_array(6, rng) + shift * np.eye(6)
+        phi_pt = partial_transpose_array(phi, dims)
+        zero = np.zeros_like(phi)
+        lam = float(np.linalg.eigvalsh(phi)[-1])
+        assert dual_bound(phi, dims, "PPT", zero) == pytest.approx(lam, abs=1e-12)
+        assert dual_bound(phi, dims, "RAINS_T", phi_pt) == pytest.approx(
+            float(np.max(np.abs(np.linalg.eigvalsh(phi_pt)))), abs=1e-12
+        )
+        assert dual_bound(phi, dims, "RAINS_T", zero) == pytest.approx(max(lam, 0.0), abs=1e-12)
+
+    def test_unknown_set_rejected(self):
+        with pytest.raises(PreconditionError):
+            dual_bound(np.eye(4), (2, 2), "SEP", np.zeros((4, 4)))

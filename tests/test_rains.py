@@ -260,6 +260,15 @@ class TestQubitEqualityAudit:
         assert report.nonconverged > 0
         assert report.passed is False
 
+    @pytest.mark.parametrize(
+        "dims, samples", [((1, 2), 1), ((2, 1), 1), ((2, 2), 0), ((2, 2), -3)]
+    )
+    def test_refuses_inputs_that_give_no_evidence(self, dims, samples):
+        # A 1×n split has only PPT states, so no sample could ever be drawn;
+        # no sample at all would be a PASS with no solve behind it.
+        with pytest.raises(PreconditionError):
+            qubit_equality_audit(dims, samples, 0)
+
     def test_report_only_without_a_qubit_side(self):
         report = qubit_equality_audit((3, 3), 1, 0, SolverConfig(max_iters=2))
         assert report.nonconverged > 0

@@ -32,7 +32,7 @@ class TestConfig:
         with pytest.raises(PreconditionError):
             SolverConfig(max_iters=0)
         with pytest.raises(PreconditionError):
-            SolverConfig(armijo_beta=1.0)
+            SolverConfig(dykstra_iters=0)
 
 
 class TestProjectP:
@@ -257,7 +257,7 @@ class TestMaximizeLinear:
     def test_rains_result_is_feasible_and_certified(self, make_m, expected):
         m = make_m()
         res = maximize_linear(m, set_tag="RAINS_T")
-        assert _t_feasibility(res.sigma_hat.mat, m.dims) <= SolverConfig().tol_feas
+        assert _t_feasibility(res.sigma_hat.mat, m.dims) <= solver.TOL_FEAS
         assert 0.0 <= res.gap <= 1e-6
         assert res.value <= 1.0
         assert res.value == pytest.approx(expected, abs=1e-9)
@@ -270,7 +270,7 @@ class TestMaximizeLinear:
     )
     def test_ppt_result_is_feasible_and_certified(self, m):
         res = maximize_linear(m)
-        assert _ppt_feasibility(res.sigma_hat.mat, m.dims) <= SolverConfig().tol_feas
+        assert _ppt_feasibility(res.sigma_hat.mat, m.dims) <= solver.TOL_FEAS
         assert 0.0 <= res.gap <= 1e-6
         assert res.status == "CONVERGED"
         assert res.certificate is not None
