@@ -1,16 +1,20 @@
 """Forward solvers: projected gradient descent over the PPT set or the Rains set.
 
-These are the independent check on every converse construction. Projections
-onto the constraint sets run Dykstra's alternating scheme over their defining
-cones (PSD cone, PSD-after-partial-transpose cone, unit-trace slice for the
-PPT set; PSD cone and the partial-transpose trace-norm ball for the Rains
-set). The relative-entropy objective runs the monotone spectral projected
-gradient method (Birgin, Martínez & Raydan, SIAM J. Optim. 10, 1196 (2000)):
-each iteration projects one Barzilai-Borwein step along -L_σ(ρ) and then
-backtracks (Armijo) along the segment from σ to that projection. Every point
-of the segment is feasible by convexity, so a trial step costs one
+These are the independent check on every converse construction. One routine,
+`_project`, projects onto either constraint set by accelerated ascent on the
+dual of the Frobenius projection (Malick, SIAM J. Matrix Anal. Appl. 26, 272
+(2004)): a PSD multiplier on the one cone that has no closed-form projection
+(x^Γ ⪰ 0 for the PPT set, x ⪰ 0 for the Rains set), around the closed-form
+projection onto the rest (the unit-trace PSD set, or the partial-transpose
+trace-norm ball). The relative-entropy objective runs the monotone spectral
+projected gradient method (Birgin, Martínez & Raydan, SIAM J. Optim. 10, 1196
+(2000)): each iteration projects one Barzilai-Borwein step along -L_σ(ρ) and
+then backtracks (Armijo) along the segment from σ to that projection. Every
+point of the segment is feasible by convexity, so a trial step costs one
 eigendecomposition and no projection, and the objective stays monotone per
-accepted step.
+accepted step. The projection inside the solver is inexact on purpose: it is
+warm-started from the last multiplier and stops as soon as its output gives
+a descent direction.
 
 Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
@@ -18,12 +22,13 @@ Wen, Goldfarb & Yin, Math. Prog. Comp. 2, 203 (2010)) on the splitting
 Y = X^Γ, with X in the unit-trace PSD set and Y in the PSD cone (PPT set) or
 X in the PSD cone and Y in the trace-norm unit ball (Rains set). Its scaled
 multiplier is a dual point, so every iterate brackets the maximum between a
-feasible value and a weak-duality bound, without Dykstra.
+feasible value and a weak-duality bound, without a projection.
 
 Both solvers certify their results with one bound, `ppt.dual_bound`, each at
 a dual point of its own. `SolverConfig` holds only the two iteration caps;
 the step and tolerance settings are the module constants STEP_INIT,
-ARMIJO_BETA, TOL_GRAD and TOL_FEAS.
+ARMIJO_BETA, TOL_GRAD, TOL_FEAS and the projection's PROJ_FEAS,
+COLD_COMPLEMENTARITY and PROJ_STATIONARY.
 """
 
 from __future__ import annotations
@@ -44,7 +49,6 @@ from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
 from .frechet import divided_differences, log_fn
 from .ppt import SupportingFunctional, dual_bound, is_boundary_of_P, ppt_functional
 
-DYKSTRA_RESIDUAL = 1e-10
 # minimize_ree reports CONVERGED only when its certified first-order gap is
 # at most this; by convexity the minimum then lies within it below the value.
 CERT_TOL = 1e-4
@@ -59,20 +63,32 @@ EIG_FLOOR = 1e-12
 STEP_INIT = 1.0
 ARMIJO_BETA = 0.5
 TOL_GRAD = 1e-9
-# Feasibility residual a result needs for CONVERGED, and a public projection
-# needs to return at all.
+# Feasibility residual a result needs for CONVERGED, and a candidate needs to
+# start minimize_ree from.
 TOL_FEAS = 1e-9
+# _project accepts only outputs whose constraint residual (-λmin(x^Γ) on the
+# PPT set, -λmin(x) on the Rains set) is at most PROJ_FEAS: a hundred times
+# below TOL_FEAS, so that iterates, convex combinations of outputs, stay
+# feasible, and no larger than SUPPORT_ATOL, the support wall of the objective.
+PROJ_FEAS = 1e-11
+# The complementarity bound of a cold projection (no current iterate): the
+# output lies within √COLD_COMPLEMENTARITY = 1e-7 of the exact projection.
+COLD_COMPLEMENTARITY = 1e-14
+# Once ½‖x - σ‖² is below roundoff the descent test cannot be met, so an
+# output that moved at most this since the last inner iteration is accepted:
+# a decade below TOL_GRAD, the smallest solver step that does not end a solve.
+PROJ_STATIONARY = 1e-10
 
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Iteration caps: solver iterations, and Dykstra cycles per projection."""
+    """Iteration caps: solver iterations, and inner iterations per projection."""
 
     max_iters: int = 400
-    dykstra_iters: int = 2000
+    projection_iters: int = 2000
 
     def __post_init__(self) -> None:
-        if min(self.max_iters, self.dykstra_iters) <= 0:
+        if min(self.max_iters, self.projection_iters) <= 0:
             raise PreconditionError("iteration limits must be positive")
 
 
@@ -115,20 +131,6 @@ def _project_pt_ball(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     return partial_transpose_array(_project_spectral(pt, _project_l1_ball), dims)
 
 
-def _dykstra(x0, projections, max_cycles, feasibility):
-    x = x0
-    incs = [np.zeros_like(x0) for _ in projections]
-    for _ in range(max_cycles):
-        x_prev = x
-        for i, proj in enumerate(projections):
-            z = x + incs[i]
-            x = proj(z)
-            incs[i] = z - x
-        if np.linalg.norm(x - x_prev) <= DYKSTRA_RESIDUAL and feasibility(x) <= TOL_FEAS:
-            break
-    return x
-
-
 def _ppt_feasibility(mat: np.ndarray, dims: tuple[int, int]) -> float:
     lam = float(np.linalg.eigvalsh(mat)[0])
     lam_pt = float(np.linalg.eigvalsh(partial_transpose_array(mat, dims))[0])
@@ -142,66 +144,116 @@ def _t_feasibility(mat: np.ndarray, dims: tuple[int, int]) -> float:
     return max(-lam, ptnorm - 1.0)
 
 
-def _project_P_raw(mat: np.ndarray, dims: tuple[int, int], config: SolverConfig) -> np.ndarray:
-    n = mat.shape[0]
-    eye = np.eye(n)
-    projections = [
-        lambda x: x - (x.trace().real - 1.0) / n * eye,
-        lambda x: partial_transpose_array(_clip_psd(partial_transpose_array(x, dims)), dims),
-        _clip_psd,
-    ]
-    return _dykstra(
-        (mat + mat.conj().T) / 2,
-        projections,
-        config.dykstra_iters,
-        lambda x: _ppt_feasibility(x, dims),
-    )
+def _project(
+    y: np.ndarray,
+    dims: tuple[int, int],
+    set_tag: str,
+    max_iters: int,
+    b: np.ndarray | None = None,
+    sigma: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray, int, bool]:
+    """Frobenius projection of y onto the PPT set or the Rains set, by its dual.
+
+    The multiplier B ⪰ 0 goes on the one cone the closed-form step leaves
+    out: x(B) = Π_spectraplex(y + B^Γ) with B on x^Γ ⪰ 0 (PPT set), or
+    x(B) = Π_ball(y + B) with B on x ⪰ 0 (Rains set; the ball is
+    ‖x^Γ‖₁ ≤ 1). The dual gradient, -x(B)^Γ or -x(B), is 1-Lipschitz, so
+    accelerated projected ascent (Beck & Teboulle 2009) takes unit steps
+    B ← Π_PSD(C - x(C)^Γ) from the momentum point C, and restarts the
+    momentum when ⟨C - B_new, B_new - B⟩ > 0 (O'Donoghue & Candès 2015).
+
+    x(C) is accepted once its constraint residual is at most PROJ_FEAS and
+    the complementarity ⟨C, x(C)^Γ⟩ (⟨C, x(C)⟩) plus the negative part of C
+    is at most ½‖x - σ‖² (or COLD_COMPLEMENTARITY without σ). Then, for
+    every z in the set, ⟨y - x, z - x⟩ ≤ ½‖x - σ‖² by the variational
+    inequality of the inner projection: with y = σ - t·g and z = σ, the
+    direction x - σ descends, ⟨g, σ - x⟩ ≥ ‖x - σ‖²/(2t) (Birgin, Martínez
+    & Raydan, IMA J. Numer. Anal. 23, 539 (2003)); that inequality is also
+    checked as computed, because near roundoff the bound alone can pass on
+    a direction that does not descend. Once ½‖x - σ‖² is below roundoff,
+    x(C) is also accepted when the residual holds, C is PSD to PROJ_FEAS and
+    x moved at most PROJ_STATIONARY. A warm multiplier ``b`` must be PSD up
+    to such a negative part; the returned one is.
+
+    Returns x, the multiplier to warm-start the next call from, the number
+    of inner iterations, and whether ``max_iters`` ran out first (x is then
+    the last iterate, possibly infeasible).
+    """
+    if set_tag == "PPT":
+        constraint = lambda m: partial_transpose_array(m, dims)
+        primal = lambda m: _project_spectral(m, _project_simplex)
+    else:
+        constraint = lambda m: m
+        primal = lambda m: _project_pt_ball(m, dims)
+    y = (y + y.conj().T) / 2
+    # c_psd: C is zero or a fresh PSD clip, so it has no negative part to test.
+    c_psd = b is None
+    c = b = np.zeros_like(y) if b is None else b
+    theta = 1.0
+    x_prev = None
+    for k in range(1, max_iters + 1):
+        x = primal(y + constraint(c))
+        ax = constraint(x)
+        comp = float(np.vdot(c, ax).real)
+        if sigma is None:
+            descends, bound = True, COLD_COMPLEMENTARITY
+        else:
+            # The bound implies descent, ⟨σ - y, σ - x⟩ = t·⟨g, σ - x⟩ ≥ ½‖x - σ‖²;
+            # it is also measured, since near roundoff only the measure holds.
+            bound = 0.5 * float(np.linalg.norm(x - sigma)) ** 2
+            descends = float(np.vdot(sigma - y, sigma - x).real) >= bound
+        stationary = x_prev is not None and float(np.linalg.norm(x - x_prev)) <= PROJ_STATIONARY
+        if ((descends and comp <= bound) or stationary) and float(
+            np.linalg.eigvalsh(ax)[0]
+        ) >= -PROJ_FEAS:
+            # A negative part of C weakens the bound by at most its size, since
+            # every z in the set has Tr z^Γ ≤ 1; rounding alone leaves ~1e-19.
+            neg = 0.0 if c_psd else max(0.0, -float(np.linalg.eigvalsh(c)[0]))
+            if (descends and comp + neg <= bound) or (stationary and neg <= PROJ_FEAS):
+                return x, c, k, False
+        b_new = _clip_psd(c - ax)
+        if float(np.vdot(c - b_new, b_new - b).real) > 0.0:
+            theta, c, c_psd = 1.0, b_new, True
+        else:
+            theta_new = (1.0 + np.sqrt(1.0 + 4.0 * theta**2)) / 2.0
+            c = b_new + ((theta - 1.0) / theta_new) * (b_new - b)
+            theta, c_psd = theta_new, False
+        b, x_prev = b_new, x
+    return x, b, max_iters, True
 
 
-def _project_T_raw(mat: np.ndarray, dims: tuple[int, int], config: SolverConfig) -> np.ndarray:
-    projections = [
-        lambda x: _project_pt_ball(x, dims),
-        _clip_psd,
-    ]
-    return _dykstra(
-        (mat + mat.conj().T) / 2,
-        projections,
-        config.dykstra_iters,
-        lambda x: _t_feasibility(x, dims),
-    )
-
-
-def _require_feasible(feasibility: float, set_name: str) -> None:
-    # _dykstra only stops short of TOL_FEAS at its cycle cap.
-    if feasibility > TOL_FEAS:
+def _project_public(
+    a: HermitianMatrix, set_tag: str, config: SolverConfig | None
+) -> HermitianMatrix:
+    cfg = config or SolverConfig()
+    x, _, _, capped = _project(a.mat, a.dims, set_tag, cfg.projection_iters)
+    if capped:
+        feasibility = (_ppt_feasibility if set_tag == "PPT" else _t_feasibility)(x, a.dims)
         raise ConvergenceError(
-            f"projection onto {set_name} hit the Dykstra cycle cap with feasibility "
-            f"residual {feasibility:.3e} > TOL_FEAS = {TOL_FEAS:.1e}"
+            f"projection onto the {'PPT' if set_tag == 'PPT' else 'Rains'} set hit its "
+            f"cap of {cfg.projection_iters} iterations with feasibility residual {feasibility:.3e}"
         )
+    return hermitian(x, a.dims)
 
 
 def project_P(a: HermitianMatrix, config: SolverConfig | None = None) -> HermitianMatrix:
-    """Frobenius projection onto the PPT states (Dykstra over three sets).
+    """Frobenius projection onto the PPT states (accelerated dual ascent, cold).
 
-    Raises ConvergenceError when the output's feasibility residual exceeds
-    TOL_FEAS.
+    The output is PPT to PROJ_FEAS and within √COLD_COMPLEMENTARITY of the
+    exact projection. Raises ConvergenceError when ``config.projection_iters``
+    runs out first.
     """
-    cfg = config or SolverConfig()
-    out = _project_P_raw(a.mat, a.dims, cfg)
-    _require_feasible(_ppt_feasibility(out, a.dims), "the PPT set")
-    return hermitian(out, a.dims)
+    return _project_public(a, "PPT", config)
 
 
 def project_T(a: HermitianMatrix, config: SolverConfig | None = None) -> HermitianMatrix:
-    """Frobenius projection onto the Rains set (Dykstra over two sets).
+    """Frobenius projection onto the Rains set (accelerated dual ascent, cold).
 
-    Raises ConvergenceError when the output's feasibility residual exceeds
-    TOL_FEAS.
+    The output is PSD to PROJ_FEAS and within √COLD_COMPLEMENTARITY of the
+    exact projection. Raises ConvergenceError when ``config.projection_iters``
+    runs out first.
     """
-    cfg = config or SolverConfig()
-    out = _project_T_raw(a.mat, a.dims, cfg)
-    _require_feasible(_t_feasibility(out, a.dims), "the Rains set")
-    return hermitian(out, a.dims)
+    return _project_public(a, "RAINS_T", config)
 
 
 @dataclass(frozen=True)
@@ -212,6 +264,8 @@ class SolveResult:
     iterations: int
     cert_gap: float
     objective_trace: list = field(default_factory=list)
+    projection_iters: int = 0  # inner projection iterations, summed over the solve
+    projections_capped: int = 0  # projections that ran out of config.projection_iters
 
 
 def minimize_ree(
@@ -223,11 +277,24 @@ def minimize_ree(
 ) -> SolveResult:
     """Minimize S(ρ‖σ) over the PPT set ("PPT") or the Rains set ("RAINS_T").
 
-    Spectral projected gradient from the maximally mixed start: each
-    iteration computes d = Π(σ - t·g) - σ, one projection of the
+    Spectral projected gradient. The candidate pool is the maximally mixed
+    state, the ``extra_candidates`` and, for the Rains set, ρ/‖ρ^Γ‖₁; the
+    solve starts from its lowest-objective member that is feasible within
+    TOL_FEAS. (P ⊂ T, so the REE minimizer passed as a candidate is a
+    feasible Rains start, and an optimal one when a side is a qubit.) An
+    explicit ``start`` wins over the pool and is projected cold.
+
+    Each iteration computes d = Π(σ - t·g) - σ, one projection of the
     Barzilai-Borwein step t, and backtracks α ← ARMIJO_BETA·α from α = 1
     on σ + α·d until f(σ + α·d) ≤ f(σ) - 1e-4·α·⟨g, -d⟩, with g the
     gradient at σ; a trial is one objective evaluation, never a projection.
+    The projection is `_project` warm-started from the previous iteration's
+    multiplier. It stops once its output is feasible to PROJ_FEAS and d is a
+    descent direction with ⟨g, -d⟩ ≥ ‖d‖²/(2t), or once ‖d‖² is below
+    roundoff and its output is stationary; above roundoff, a solve never
+    ends on a direction that does not descend. ``projection_iters`` sums
+    its inner iterations over the solve, and ``projections_capped`` counts
+    the projections that ran out of ``config.projection_iters``.
 
     ``cert_gap`` bounds the first-order gap, the maximum over the set of
     Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smaller `ppt.dual_bound` of φ̂
@@ -237,9 +304,8 @@ def minimize_ree(
     feasible. CONVERGED means exactly that: σ̂ is feasible within TOL_FEAS
     and ``cert_gap`` is at most CERT_TOL.
 
-    For the Rains set the candidate pool always contains ρ/‖ρ^Γ‖₁, so the
-    returned value never exceeds the logarithmic negativity. ``start``
-    overrides the default start (it is projected onto the feasible set).
+    The iterate is compared with the whole pool at the end, so for the
+    Rains set the returned value never exceeds the logarithmic negativity.
     """
     cfg = config or SolverConfig()
     if set_tag not in ("PPT", "RAINS_T"):
@@ -254,12 +320,7 @@ def minimize_ree(
     rho_m = rho.mat
     tr_rho_log_rho = _trace_xlogx(rho)
 
-    if set_tag == "PPT":
-        project = lambda x: _project_P_raw(x, dims, cfg)
-        feasibility = _ppt_feasibility
-    else:
-        project = lambda x: _project_T_raw(x, dims, cfg)
-        feasibility = _t_feasibility
+    feasibility = _ppt_feasibility if set_tag == "PPT" else _t_feasibility
 
     def evaluate(mat):
         # Extended-real objective: +inf when rho has weight where sigma has
@@ -281,20 +342,37 @@ def minimize_ree(
         g = -(v @ (t * r) @ v.conj().T)
         return (g + g.conj().T) / 2
 
+    # Any feasible point upper-bounds the minimum: the pool is compared again
+    # at the end, and its best feasible member is the start.
+    pool = [np.eye(n, dtype=complex) / n] + [c.mat for c in extra_candidates or []]
+    if set_tag == "RAINS_T":
+        pool.append(rho_m / trace_norm(rho.pt))
+    pool_values = [evaluate(m)[0] for m in pool]
+    projection_iters = projections_capped = 0
     if start is None:
-        sigma = np.eye(n, dtype=complex) / n
+        feasible = [i for i, m in enumerate(pool) if feasibility(m, dims) <= TOL_FEAS]
+        sigma = pool[min(feasible, key=pool_values.__getitem__)]
     else:
-        sigma = project(start.mat)
+        sigma, _, projection_iters, capped = _project(
+            start.mat, dims, set_tag, cfg.projection_iters
+        )
+        projections_capped = int(capped)
     f, cache = evaluate(sigma)
     g = gradient(cache)
     t = STEP_INIT / max(1.0, float(np.linalg.norm(g)))
     trace = [f]
     iterations = 0
+    mult = None
     for k in range(cfg.max_iters):
         iterations = k + 1
-        # One projection per iteration; every point of the segment from sigma
-        # to the projected step is feasible by convexity.
-        d = project(sigma - t * g) - sigma
+        # One projection per iteration, warm-started from the last multiplier;
+        # every point of the segment from sigma to it is feasible by convexity.
+        x, mult, inner, capped = _project(
+            sigma - t * g, dims, set_tag, cfg.projection_iters, mult, sigma
+        )
+        projection_iters += inner
+        projections_capped += capped
+        d = x - sigma
         decrease = float(np.vdot(g, -d).real)
         accepted = False
         alpha = 1.0
@@ -318,18 +396,14 @@ def minimize_ree(
         if np.sqrt(ss) <= TOL_GRAD and k >= 2:
             break
 
-    # Best feasible candidate wins; any feasible point upper-bounds the minimum.
-    candidates = [sigma]
-    for cand_h in extra_candidates or []:
-        candidates.append(cand_h.mat)
-    if set_tag == "RAINS_T":
-        ln_norm = trace_norm(rho.pt)
-        candidates.append(rho_m / ln_norm)
-    best = min(candidates, key=lambda m: evaluate(m)[0])
-    f_best, best_cache = evaluate(best)
-    sigma = best
+    # The lowest pool value wins over the iterate; the feasibility test below
+    # refuses an infeasible winner.
+    i = min(range(len(pool)), key=pool_values.__getitem__)
+    if pool_values[i] < f:
+        sigma = pool[i]
+        g = gradient(evaluate(sigma)[1])
 
-    phi_hat = -gradient(best_cache)
+    phi_hat = -g
     anchor = float(np.vdot(phi_hat, sigma).real)
 
     phi_pt = partial_transpose_array(phi_hat, dims)
@@ -344,8 +418,8 @@ def minimize_ree(
 
     sigma_h = hermitian(sigma, dims)
     value = relative_entropy(rho, sigma_h)
-    # The internal projections may stop at their cycle cap on an infeasible
-    # point, and the bracket's upper end needs a feasible one.
+    # A projection may run out of its cap on an infeasible point, and the
+    # bracket's upper end needs a feasible one.
     converged = feasibility(sigma, dims) <= TOL_FEAS and cert_gap <= CERT_TOL
     return SolveResult(
         sigma_hat=sigma_h,
@@ -354,6 +428,8 @@ def minimize_ree(
         iterations=iterations,
         cert_gap=cert_gap,
         objective_trace=trace,
+        projection_iters=projection_iters,
+        projections_capped=projections_capped,
     )
 
 

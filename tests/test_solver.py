@@ -22,9 +22,10 @@ from entbound import (
     trace_norm,
 )
 from entbound import solver
-from entbound.solver import CERT_TOL, _ppt_feasibility, _t_feasibility
+from entbound.solver import CERT_TOL, PROJ_FEAS, _ppt_feasibility, _project, _t_feasibility
 from entbound.linalg import support_projector
 from conftest import bell_cps_anchor, bell_state
+from samplers import sample_T, sample_ppt_states
 
 
 class TestConfig:
@@ -32,7 +33,7 @@ class TestConfig:
         with pytest.raises(PreconditionError):
             SolverConfig(max_iters=0)
         with pytest.raises(PreconditionError):
-            SolverConfig(dykstra_iters=0)
+            SolverConfig(projection_iters=0)
 
 
 class TestProjectP:
@@ -73,17 +74,53 @@ class TestProjectT:
         assert np.allclose(out.mat, 0.0)
 
 
+def third_hermitian_draw():
+    gen = np.random.default_rng(0)
+    for _ in range(3):
+        x = random_hermitian((3, 3), gen)
+    return x
+
+
 class TestProjectionCap:
     def test_infeasible_output_raises(self):
-        # At the default cycle cap, this input leaves P's output with a PT
-        # eigenvalue near -4.6e-5 and T's with ||X^Gamma||_1 - 1 near 2.9e-4.
-        gen = np.random.default_rng(0)
-        for _ in range(3):
-            x = random_hermitian((3, 3), gen)
+        # Five inner iterations stop both projections of this input short of
+        # their stop rule.
+        x = third_hermitian_draw()
         with pytest.raises(ConvergenceError):
-            project_P(x)
+            project_P(x, SolverConfig(projection_iters=5))
         with pytest.raises(ConvergenceError):
-            project_T(x)
+            project_T(x, SolverConfig(projection_iters=5))
+
+    def test_hard_input_projects_feasibly(self):
+        # Dykstra stopped at its cycle cap on this input, with a PT eigenvalue
+        # near -4.6e-5 (P) and ||X^Gamma||_1 - 1 near 2.9e-4 (T).
+        x = third_hermitian_draw()
+        assert _ppt_feasibility(project_P(x).mat, x.dims) <= 1e-11
+        assert _t_feasibility(project_T(x).mat, x.dims) <= 1e-11
+
+
+class TestDualProjection:
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_feasible_and_a_descent_direction(self, dims, set_tag):
+        # The stop rule gives <y - x, z - x> <= |x - sigma|^2 / 2 for every z in
+        # the set, so d = x - sigma descends on y = sigma - t g (take z = sigma).
+        rng = np.random.default_rng(7)
+        sample, feasibility = {
+            "PPT": (sample_ppt_states, _ppt_feasibility),
+            "RAINS_T": (sample_T, _t_feasibility),
+        }[set_tag]
+        sigmas = sample(dims, 8, rng)
+        zs = sample(dims, 200, rng)
+        mult = None  # warm-started from the last multiplier, as inside a solve
+        for k, sigma in enumerate(sigmas):
+            step = random_hermitian(dims, rng).mat * 10.0 ** -(k % 4)
+            y = sigma - step
+            x, mult, _, capped = _project(y, dims, set_tag, 2000, mult, sigma)
+            assert not capped
+            assert feasibility(x, dims) <= PROJ_FEAS
+            lhs = np.einsum("ij,kij->k", (y - x).conj(), np.concatenate([zs, [sigma]]) - x).real
+            assert np.max(lhs) <= 0.5 * np.linalg.norm(x - sigma) ** 2 + 1e-12
 
 
 class TestMinimizeRee:
@@ -157,10 +194,31 @@ class TestStatus:
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
     def test_infeasible_iterate_is_nonconverged(self, dims):
+        # One inner iteration leaves the NPT start rho outside P, and every
+        # projection after it short of P; the zero objective has a small gap.
         rho = random_state(dims, np.random.default_rng(1))
-        res = minimize_ree(rho, "PPT", SolverConfig(dykstra_iters=1))
+        res = minimize_ree(rho, "PPT", SolverConfig(projection_iters=1), start=rho)
         assert _ppt_feasibility(res.sigma_hat.mat, dims) > 1e-3
         assert res.status == "NONCONVERGED"
+
+    def test_projection_counters(self):
+        rho = random_state((2, 3), np.random.default_rng(0))
+        full = minimize_ree(rho, "PPT")
+        assert full.projections_capped == 0
+        assert full.projection_iters >= full.iterations
+        capped = minimize_ree(rho, "PPT", SolverConfig(projection_iters=2))
+        assert capped.projections_capped > 0
+        assert capped.iterations <= capped.projection_iters <= 2 * capped.iterations
+
+    def test_rains_solve_starts_at_the_ree_minimizer(self):
+        # P is inside T, so the REE minimizer is a feasible Rains start, and
+        # the first objective value is no higher than the REE.
+        fam = _family(random_boundary_state((2, 3), 1))
+        rho = fam.state(fam.x_max / 2)
+        ep = minimize_ree(rho, "PPT")
+        rb = minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
+        assert rb.objective_trace[0] <= ep.value + 1e-12
+        assert rb.status == "CONVERGED"
 
     def test_infeasible_candidate_with_zero_gap_is_nonconverged(self):
         # sigma_hat = rho zeroes the objective and gives phi_hat = 1, hence a
@@ -199,14 +257,13 @@ class TestProjectionCount:
             rho = random_state((2, 3), np.random.default_rng(0))
             assert not is_ppt(rho)
         calls = []
-        for name in ("_project_P_raw", "_project_T_raw"):
-            original = getattr(solver, name)
+        original = solver._project
 
-            def counted(*args, _original=original, **kwargs):
-                calls.append(None)
-                return _original(*args, **kwargs)
+        def counted(*args, **kwargs):
+            calls.append(None)
+            return original(*args, **kwargs)
 
-            monkeypatch.setattr(solver, name, counted)
+        monkeypatch.setattr(solver, "_project", counted)
         res = minimize_ree(rho, set_tag)
         assert res.iterations > 2
         assert len(calls) == res.iterations
