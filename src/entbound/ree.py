@@ -14,7 +14,7 @@ family member then has the closed form
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -53,12 +53,18 @@ class StateFamily:
     x_max: float
     singular_cap_applied: bool
     direction_psd: bool
+    # ρ(x) by x, so that every caller of one member shares its cached spectrum;
+    # a racing first use only builds the same value twice.
+    _states: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def state(self, x: float) -> HermitianMatrix:
-        return hermitian(
-            (1.0 - x) * self.sigma_star.mat + x * self.direction.mat,
-            self.sigma_star.dims,
-        )
+        rho_x = self._states.get(x)
+        if rho_x is None:
+            rho_x = self._states[x] = hermitian(
+                (1.0 - x) * self.sigma_star.mat + x * self.direction.mat,
+                self.sigma_star.dims,
+            )
+        return rho_x
 
 
 def family_to_json_dict(fam: StateFamily) -> dict:

@@ -14,7 +14,12 @@ point of the segment is feasible by convexity, so a trial step costs one
 eigendecomposition and no projection, and the objective stays monotone per
 accepted step. The projection inside the solver is inexact on purpose: it is
 warm-started from the last multiplier and stops as soon as its output gives
-a descent direction.
+a descent direction. The warm multiplier is first scaled by t/t_prev, the
+ratio of this step to the step it was computed at: at a fixed point
+σ = Π(σ - t·g) the projection's optimality conditions read
+t·g = B^Γ - μ·1 + Z (PPT set; the Rains set alike), with every multiplier in
+a cone, so the optimal multipliers are proportional to t, and the
+Barzilai-Borwein step changes by orders of magnitude between iterations.
 
 Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
@@ -117,11 +122,15 @@ def _project_l1_ball(w: np.ndarray, radius: float = 1.0) -> np.ndarray:
 
 
 def _project_simplex(w: np.ndarray) -> np.ndarray:
-    """Euclidean projection of a real vector onto the unit simplex."""
-    u = np.sort(w)[::-1]
+    """Euclidean projection of a real vector onto the unit simplex.
+
+    ``w`` must be in ascending order, as `np.linalg.eigh` returns eigenvalues,
+    so reversing it replaces the sort of the textbook formula.
+    """
+    u = w[::-1]
     cum = np.cumsum(u) - 1.0
     k = np.arange(1, w.size + 1)
-    j = int(np.max(np.nonzero(u > cum / k)[0]))
+    j = int(np.flatnonzero(u > cum / k)[-1])
     return np.clip(w - cum[j] / (j + 1), 0.0, None)
 
 
@@ -173,7 +182,8 @@ def _project(
     a direction that does not descend. Once ½‖x - σ‖² is below roundoff,
     x(C) is also accepted when the residual holds, C is PSD to PROJ_FEAS and
     x moved at most PROJ_STATIONARY. A warm multiplier ``b`` must be PSD up
-    to such a negative part; the returned one is.
+    to such a negative part; the returned one is, and so is any positive
+    multiple of it, such as the one rescaled to a new step.
 
     Returns x, the multiplier to warm-start the next call from, the number
     of inner iterations, and whether ``max_iters`` ran out first (x is then
@@ -200,9 +210,13 @@ def _project(
         else:
             # The bound implies descent, ⟨σ - y, σ - x⟩ = t·⟨g, σ - x⟩ ≥ ½‖x - σ‖²;
             # it is also measured, since near roundoff only the measure holds.
-            bound = 0.5 * float(np.linalg.norm(x - sigma)) ** 2
-            descends = float(np.vdot(sigma - y, sigma - x).real) >= bound
-        stationary = x_prev is not None and float(np.linalg.norm(x - x_prev)) <= PROJ_STATIONARY
+            dx = x - sigma
+            bound = 0.5 * float(np.vdot(dx, dx).real)
+            descends = float(np.vdot(y - sigma, dx).real) >= bound
+        stationary = False
+        if x_prev is not None:
+            moved = x - x_prev
+            stationary = float(np.vdot(moved, moved).real) <= PROJ_STATIONARY**2
         if ((descends and comp <= bound) or stationary) and float(
             np.linalg.eigvalsh(ax)[0]
         ) >= -PROJ_FEAS:
@@ -266,6 +280,7 @@ class SolveResult:
     objective_trace: list = field(default_factory=list)
     projection_iters: int = 0  # inner projection iterations, summed over the solve
     projections_capped: int = 0  # projections that ran out of config.projection_iters
+    backtracks: int = 0  # rejected Armijo trials, summed over the solve
 
 
 def minimize_ree(
@@ -289,12 +304,16 @@ def minimize_ree(
     on σ + α·d until f(σ + α·d) ≤ f(σ) - 1e-4·α·⟨g, -d⟩, with g the
     gradient at σ; a trial is one objective evaluation, never a projection.
     The projection is `_project` warm-started from the previous iteration's
-    multiplier. It stops once its output is feasible to PROJ_FEAS and d is a
-    descent direction with ⟨g, -d⟩ ≥ ‖d‖²/(2t), or once ‖d‖² is below
+    multiplier times t/t_prev: the projection's optimal multipliers near a
+    fixed point are proportional to the step, so the unscaled multiplier of
+    step t_prev would start off by that factor. A positive factor keeps it
+    PSD. The projection stops once its output is feasible to PROJ_FEAS and d
+    is a descent direction with ⟨g, -d⟩ ≥ ‖d‖²/(2t), or once ‖d‖² is below
     roundoff and its output is stationary; above roundoff, a solve never
     ends on a direction that does not descend. ``projection_iters`` sums
-    its inner iterations over the solve, and ``projections_capped`` counts
-    the projections that ran out of ``config.projection_iters``.
+    its inner iterations over the solve, ``projections_capped`` counts the
+    projections that ran out of ``config.projection_iters``, and
+    ``backtracks`` counts the rejected Armijo trials.
 
     ``cert_gap`` bounds the first-order gap, the maximum over the set of
     Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smaller `ppt.dual_bound` of φ̂
@@ -361,15 +380,19 @@ def minimize_ree(
     g = gradient(cache)
     t = STEP_INIT / max(1.0, float(np.linalg.norm(g)))
     trace = [f]
-    iterations = 0
+    iterations = backtracks = 0
     mult = None
     for k in range(cfg.max_iters):
         iterations = k + 1
-        # One projection per iteration, warm-started from the last multiplier;
+        # One projection per iteration, warm-started from the last multiplier
+        # rescaled to this step (optimal multipliers are proportional to t);
         # every point of the segment from sigma to it is feasible by convexity.
+        if mult is not None:
+            mult = mult * (t / t_mult)
         x, mult, inner, capped = _project(
             sigma - t * g, dims, set_tag, cfg.projection_iters, mult, sigma
         )
+        t_mult = t
         projection_iters += inner
         projections_capped += capped
         d = x - sigma
@@ -383,6 +406,7 @@ def minimize_ree(
                 accepted = True
                 break
             alpha *= ARMIJO_BETA
+            backtracks += 1
         if not accepted:
             break
         s = cand - sigma
@@ -430,6 +454,7 @@ def minimize_ree(
         objective_trace=trace,
         projection_iters=projection_iters,
         projections_capped=projections_capped,
+        backtracks=backtracks,
     )
 
 

@@ -45,6 +45,15 @@ class TestBuildFamily:
     def test_x_zero_is_anchor(self, bell_family):
         assert np.linalg.norm(bell_family.state(0.0).mat - bell_family.sigma_star.mat) == 0.0
 
+    def test_member_built_once(self):
+        # build_family checks rho(x_max); the closed form reuses that value and
+        # its spectrum instead of decomposing rho(x_max) again.
+        anchor = random_boundary_state((2, 3), 1)
+        fam = build_family(anchor, ppt_functional(anchor))
+        rho_max = fam.state(fam.x_max)
+        assert fam.state(fam.x_max) is rho_max
+        assert "spectrum" in vars(rho_max)
+
     def test_unit_trace_along_family(self, bell_family):
         for x in np.linspace(0.0, bell_family.x_max, 7):
             assert bell_family.state(x).trace() == pytest.approx(1.0, abs=1e-9)

@@ -22,7 +22,15 @@ from entbound import (
     trace_norm,
 )
 from entbound import solver
-from entbound.solver import CERT_TOL, PROJ_FEAS, _ppt_feasibility, _project, _t_feasibility
+from entbound.solver import (
+    CERT_TOL,
+    PROJ_FEAS,
+    _ppt_feasibility,
+    _project,
+    _project_simplex,
+    _t_feasibility,
+)
+from entbound.frechet import build_kernel, frechet_apply, log_fn
 from entbound.linalg import support_projector
 from conftest import bell_cps_anchor, bell_state
 from samplers import sample_T, sample_ppt_states
@@ -122,6 +130,45 @@ class TestDualProjection:
             lhs = np.einsum("ij,kij->k", (y - x).conj(), np.concatenate([zs, [sigma]]) - x).real
             assert np.max(lhs) <= 0.5 * np.linalg.norm(x - sigma) ** 2 + 1e-12
 
+    @pytest.mark.parametrize("dims, seed", [((2, 3), 1), ((3, 3), 2)])
+    @pytest.mark.parametrize("factor", [0.1, 10.0])
+    def test_multiplier_rescaled_to_the_step_warm_starts_better(self, dims, seed, factor):
+        # At a fixed point the projection's multiplier is proportional to the
+        # step, so after the step changes the multiplier scaled with it is the
+        # closer start.
+        anchor = random_boundary_state(dims, seed)
+        fam = build_family(anchor, ppt_functional(anchor))
+        rho = fam.state(fam.x_max / 2)
+        sigma = minimize_ree(rho, "PPT").sigma_hat
+        g = -frechet_apply(build_kernel(log_fn(), sigma), rho).mat
+        t = 1.0 / np.linalg.norm(g)
+        _, mult, _, _ = _project(sigma.mat - t * g, dims, "PPT", 2000)
+        y = sigma.mat - factor * t * g
+        counts = []
+        for start in (mult, factor * mult):
+            x, _, inner, capped = _project(y, dims, "PPT", 2000, start, sigma.mat)
+            assert not capped
+            assert _ppt_feasibility(x, dims) <= PROJ_FEAS
+            counts.append(inner)
+        unscaled, scaled = counts
+        assert scaled < unscaled
+
+
+class TestProjectSimplex:
+    def test_matches_the_sort_based_formula_bit_for_bit(self):
+        # Eigenvalues arrive ascending from eigh; ties come from rounding.
+        rng = np.random.default_rng(11)
+        for k in range(12000):
+            w = rng.normal(size=int(rng.integers(1, 17))) * 10.0 ** rng.integers(-3, 3)
+            if k % 2:
+                w = np.round(w, 1)
+            w = np.sort(w)
+            u = np.sort(w)[::-1]
+            cum = np.cumsum(u) - 1.0
+            j = int(np.max(np.nonzero(u > cum / np.arange(1, w.size + 1))[0]))
+            expected = np.clip(w - cum[j] / (j + 1), 0.0, None)
+            assert np.array_equal(_project_simplex(w), expected)
+
 
 class TestMinimizeRee:
     def test_ppt_input_already_optimal(self, rng):
@@ -209,6 +256,13 @@ class TestStatus:
         capped = minimize_ree(rho, "PPT", SolverConfig(projection_iters=2))
         assert capped.projections_capped > 0
         assert capped.iterations <= capped.projection_iters <= 2 * capped.iterations
+
+    def test_backtracks_counted(self):
+        # Ginibre 2x4 solves overshoot on their Barzilai-Borwein steps.
+        rho = random_state((2, 4), np.random.default_rng(0))
+        res = minimize_ree(rho, "PPT")
+        assert res.status == "CONVERGED"
+        assert 0 < res.backtracks <= 40 * res.iterations
 
     def test_rains_solve_starts_at_the_ree_minimizer(self):
         # P is inside T, so the REE minimizer is a feasible Rains start, and
