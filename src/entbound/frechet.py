@@ -6,6 +6,8 @@ divided differences of g over eigenvalue pairs and ∘ is the Hadamard product.
 Eigenvalues outside (a, b) are masked out: the corresponding rows and columns
 of T, and of its elementwise pseudo-inverse S, are zero, so the induced linear
 map and its Moore-Penrose inverse act only on the in-domain eigenspaces.
+Second divided differences give the second derivative the same way
+(Daleckii-Krein); the solver's Newton step differentiates L_σ(ρ) with them.
 """
 
 from __future__ import annotations
@@ -119,6 +121,27 @@ def divided_differences(g: ScalarFunction, w_in: np.ndarray) -> np.ndarray:
     safe = np.where(close, 1.0, diff)
     quot = (gv[:, None] - gv[None, :]) / safe
     return np.where(close, mid, quot)
+
+
+def log_second_divided_differences(w_in: np.ndarray) -> np.ndarray:
+    """Second divided differences log[w_i, w_j, w_k] over ``w_in`` > 0, shape (n, n, n).
+
+    They give the second Fréchet derivative (Daleckii-Krein): in the
+    eigenbasis of A, D²log(A)[H, K]_ij = Σ_k log[w_i, w_k, w_j](H_ik K_kj + K_ik H_kj).
+    A pair closer than the cluster threshold of `divided_differences` is
+    merged: log[a, a, b] = (1/a - log[a, b])/(a - b), and -1/(2m²) at the
+    mean m when all three are close.
+    """
+    t1 = divided_differences(log_fn(), w_in)
+    thr = CLUSTER_RTOL * (float(np.max(np.abs(w_in))) if w_in.size else 0.0)
+    d_ik = w_in[:, None, None] - w_in[None, None, :]
+    d_ij = w_in[:, None, None] - w_in[None, :, None]
+    far_ik = np.abs(d_ik) > thr
+    far_ij = np.abs(d_ij) > thr
+    recursion = (t1[:, :, None] - t1[None, :, :]) / np.where(far_ik, d_ik, 1.0)
+    merged = (np.diag(t1)[:, None, None] - t1[:, :, None]) / np.where(far_ij, d_ij, 1.0)
+    mean = (w_in[:, None, None] + w_in[None, :, None] + w_in[None, None, :]) / 3.0
+    return np.where(far_ik, recursion, np.where(far_ij, merged, -0.5 / mean**2))
 
 
 def build_kernel(g: ScalarFunction, a: HermitianMatrix) -> FrechetKernel:

@@ -255,11 +255,16 @@ def ppt_functional(
 
 
 def random_boundary_state(dims: tuple[int, int], seed: int) -> HermitianMatrix:
-    """PPT state whose partial transpose has minimum eigenvalue in [0, 1e-10].
+    """PPT state whose partial transpose has minimum eigenvalue in [0, 1e-14].
 
-    Samples a full-rank state with strictly positive partial transpose and a
-    non-PPT direction, then bisects along the segment until the PT spectrum
-    touches zero from above. Deterministic per seed.
+    Samples a full-rank state σ0 with strictly positive partial transpose and
+    a non-PPT direction ρ1, and stops the segment σ0 → ρ1 where its partial
+    transpose first becomes singular. With S = (σ0^Γ)^(-1/2),
+    ((1 - t)σ0 + tρ1)^Γ = S⁻¹((1 - t)·1 + t·Sρ1^ΓS)S⁻¹, so the crossing is
+    t* = 1/(1 - μ) with μ = λmin(Sρ1^ΓS) < 0. One Newton step on the minimum
+    eigenvalue along the segment removes the rounding of μ, and the step is
+    then backed off one ulp at a time until the minimum eigenvalue is
+    nonnegative. Deterministic per seed.
     """
     rng = np.random.default_rng(seed)
     n = dims[0] * dims[1]
@@ -293,18 +298,22 @@ def random_boundary_state(dims: tuple[int, int], seed: int) -> HermitianMatrix:
     if rho1 is None:
         raise PreconditionError("failed to sample a non-PPT direction")
 
-    lo, hi = 0.0, 1.0
-    for _ in range(200):
-        mid = (lo + hi) / 2
-        if pt_min_eig((1.0 - mid) * sigma0 + mid * rho1) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-        if pt_min_eig((1.0 - lo) * sigma0 + lo * rho1) <= 1e-10 and lo > 0.0:
+    sigma0_pt = partial_transpose_array(sigma0, dims)
+    rho1_pt = partial_transpose_array(rho1, dims)
+    w0, v0 = np.linalg.eigh(sigma0_pt)
+    s = (v0 / np.sqrt(w0)) @ v0.conj().T
+    t = 1.0 / (1.0 - float(np.linalg.eigvalsh(s @ rho1_pt @ s)[0]))
+    # S amplifies rounding by the condition number of σ0^Γ; one Newton step on
+    # λmin(t), whose slope is ⟨v, (ρ1^Γ - σ0^Γ) v⟩ at its eigenvector v,
+    # brings the crossing back to rounding level.
+    w, v = np.linalg.eigh((1.0 - t) * sigma0_pt + t * rho1_pt)
+    t -= w[0] / float(np.vdot(v[:, 0], (rho1_pt - sigma0_pt) @ v[:, 0]).real)
+    for _ in range(64):
+        out = (1.0 - t) * sigma0 + t * rho1
+        m = pt_min_eig(out)
+        if 0.0 <= m <= 1e-14:
+            return hermitian(out, dims)
+        if m > 1e-14:
             break
-    out = (1.0 - lo) * sigma0 + lo * rho1
-    m = pt_min_eig(out)
-    if not 0.0 <= m <= 1e-10:
-        raise PreconditionError(f"bisection did not reach the boundary (min PT eig {m:.3e})")
-    return hermitian(out, dims)
-
+        t = float(np.nextafter(t, 0.0))
+    raise PreconditionError(f"closed-form step missed the boundary (min PT eig {m:.3e})")

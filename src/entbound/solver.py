@@ -21,6 +21,22 @@ t·g = B^Γ - μ·1 + Z (PPT set; the Rains set alike), with every multiplier in
 a cone, so the optimal multipliers are proportional to t, and the
 Barzilai-Borwein step changes by orders of magnitude between iterations.
 
+Over the PPT set SPG only opens the solve. After NEWTON_AFTER iterations,
+semismooth Newton takes over on the optimality system of the paper's
+converse theorem: σ minimizes S(ρ‖·) over P iff L_σ(ρ) = 1 - Z^Γ for some
+Z ⪰ 0 with Z·σ^Γ = 0, the complementarity written as the natural-map
+equation σ^Γ = Π_PSD(σ^Γ - Z) (Sun & Sun, Math. Oper. Res. 27, 150 (2002);
+Zinchenko, Friedland & Gour, Phys. Rev. A 82, 052336 (2010) solve the REE
+from the same conditions). It starts at the SPG iterate with Z the warm
+multiplier B over its step t: at a fixed point with σ full rank the
+projection's conditions read t·g = B^Γ - t·1, so B/t is the paper's Z. Its
+point is kept only when, shifted exactly onto P, it is certified to
+GAP_STOP at the dual point Π_PSD(Z). Otherwise SPG goes on unchanged, and
+Newton gets one more attempt where SPG stops. Rank-deficient minimizers
+are outside the domain of log, so there Newton declines and SPG's result
+stands. The Rains set stays on SPG; its solve
+starts at the REE minimizer.
+
 Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
 Wen, Goldfarb & Yin, Math. Prog. Comp. 2, 203 (2010)) on the splitting
@@ -32,8 +48,9 @@ feasible value and a weak-duality bound, without a projection.
 Both solvers certify their results with one bound, `ppt.dual_bound`, each at
 a dual point of its own. `SolverConfig` holds only the two iteration caps;
 the step and tolerance settings are the module constants STEP_INIT,
-ARMIJO_BETA, TOL_GRAD, TOL_FEAS and the projection's PROJ_FEAS,
-COLD_COMPLEMENTARITY and PROJ_STATIONARY.
+ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's PROJ_FEAS,
+COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's NEWTON_AFTER,
+NEWTON_STEPS and NEWTON_TOL.
 """
 
 from __future__ import annotations
@@ -51,7 +68,7 @@ from .linalg import (
     trace_norm,
 )
 from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
-from .frechet import divided_differences, log_fn
+from .frechet import divided_differences, log_fn, log_second_divided_differences
 from .ppt import SupportingFunctional, dual_bound, is_boundary_of_P, ppt_functional
 
 # minimize_ree reports CONVERGED only when its certified first-order gap is
@@ -83,6 +100,12 @@ COLD_COMPLEMENTARITY = 1e-14
 # output that moved at most this since the last inner iteration is accepted:
 # a decade below TOL_GRAD, the smallest solver step that does not end a solve.
 PROJ_STATIONARY = 1e-10
+# minimize_ree over the PPT set tries semismooth Newton once after this many
+# SPG iterations and once more when SPG stops, each attempt at most
+# NEWTON_STEPS steps; Newton stops early once ‖F‖ is at most NEWTON_TOL.
+NEWTON_AFTER = 3
+NEWTON_STEPS = 12
+NEWTON_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -270,6 +293,167 @@ def project_T(a: HermitianMatrix, config: SolverConfig | None = None) -> Hermiti
     return _project_public(a, "RAINS_T", config)
 
 
+def _shift_feasible(x: np.ndarray, dims: tuple[int, int], set_tag: str) -> np.ndarray:
+    """Move a nearly feasible point exactly onto the PPT set or the Rains set.
+
+    x ↦ (x + ε·1)/(1 + nε), with ε = max(0, -λmin x^Γ, -λmin x) on the PPT
+    set and ε = max(0, -λmin x) on the Rains set, which is then divided by
+    max(1, ‖x^Γ‖₁). The mixture keeps a unit trace, and makes x^Γ and x PSD
+    because both grow by ε·1 before the positive rescaling. Returns x itself
+    when it needs no move.
+    """
+    n = x.shape[0]
+    eps = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+    if set_tag == "PPT":
+        eps = max(eps, -float(np.linalg.eigvalsh(partial_transpose_array(x, dims))[0]))
+    if eps > 0.0:
+        x = (x + eps * np.eye(n)) / (1.0 + n * eps)
+    if set_tag == "RAINS_T":
+        ptnorm = float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_array(x, dims)))))
+        if ptnorm > 1.0:
+            x = x / ptnorm
+    return x
+
+
+def _hermitian_basis(n: int) -> np.ndarray:
+    """Orthonormal basis of the n×n Hermitian matrices, shape (n², n, n).
+
+    Diagonal units first, then (E_ij + E_ji)/√2 and i(E_ij - E_ji)/√2 for
+    i < j; `_coords` reads coordinates in this basis.
+    """
+    iu, ju = np.triu_indices(n, 1)
+    m = iu.size
+    basis = np.zeros((n * n, n, n), dtype=complex)
+    basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
+    sym, skew = n + np.arange(m), n + m + np.arange(m)
+    basis[sym, iu, ju] = basis[sym, ju, iu] = 1.0 / np.sqrt(2.0)
+    basis[skew, iu, ju] = 1j / np.sqrt(2.0)
+    basis[skew, ju, iu] = -1j / np.sqrt(2.0)
+    return basis
+
+
+def _coords(x: np.ndarray) -> np.ndarray:
+    """Real coordinates of Hermitian matrices (..., n, n) in `_hermitian_basis`."""
+    n = x.shape[-1]
+    iu, ju = np.triu_indices(n, 1)
+    off = np.sqrt(2.0) * x[..., iu, ju]
+    return np.concatenate(
+        [np.diagonal(x, axis1=-2, axis2=-1).real, off.real, off.imag], axis=-1
+    )
+
+
+def _ppt_residual(
+    rho: np.ndarray, sigma: np.ndarray, z: np.ndarray, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, tuple] | None:
+    """F1 = L_σ(ρ) - 1 + Z^Γ and F2 = σ^Γ - Π_PSD(σ^Γ - Z), with their spectra.
+
+    The spectra (σ = V diag(w) V†, ρ in σ's eigenbasis, W = σ^Γ - Z =
+    U diag(u_w) U†) are what `_ppt_newton_step` linearizes at. None unless
+    σ is positive definite, the domain of log.
+    """
+    w, v = np.linalg.eigh(sigma)
+    if w[0] <= 0.0:
+        return None
+    r = v.conj().T @ rho @ v
+    f1 = v @ (divided_differences(log_fn(), w) * r) @ v.conj().T - np.eye(w.size)
+    f1 = f1 + partial_transpose_array(z, dims)
+    s_pt = partial_transpose_array(sigma, dims)
+    u_w, u = np.linalg.eigh(s_pt - z)
+    f2 = s_pt - (u * np.maximum(u_w, 0.0)) @ u.conj().T
+    return f1, f2, (w, v, r, u_w, u)
+
+
+def _ppt_newton_step(
+    parts: tuple, f1: np.ndarray, f2: np.ndarray, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve J(dσ, dZ) = -(f1, f2) for the Jacobian J of `_ppt_residual`.
+
+    J(dσ, dZ) = (D²log(σ)[ρ, dσ] + dZ^Γ, dσ^Γ - DΠ(W)[dσ^Γ - dZ]), where
+    D²log(σ)[ρ, E]_ij = Σ_k log[w_i, w_k, w_j](ρ_ik E_kj + E_ik ρ_kj) in σ's
+    eigenbasis (Daleckii-Krein, second divided differences of log) and
+    DΠ(W)[E] = U (T₊ ∘ U†EU) U† with T₊ the divided differences of max(·, 0)
+    over W's eigenvalues, an element of the generalized Jacobian of Π_PSD.
+    The partial transpose is an involutive isometry, so the first equation
+    gives dZ = (-f1 - D²log(σ)[ρ, dσ])^Γ, and the second becomes a real
+    n² × n² system in dσ, assembled by applying it to every matrix of
+    `_hermitian_basis` at once and reading the images' coordinates.
+    """
+    w, v, r, u_w, u = parts
+    n = w.size
+    t2 = log_second_divided_differences(w)
+    left, right = t2 * r[:, :, None], t2 * r[None, :, :]
+    # Equal eigenvalues take max(·, 0)'s one-sided derivative: 1 above 0, else 0.
+    pos = np.maximum(u_w, 0.0)
+    diff = u_w[:, None] - u_w[None, :]
+    close = np.abs(diff) <= 1e-14
+    t_plus = np.where(
+        close,
+        (u_w[:, None] + u_w[None, :] > 0.0) * 1.0,
+        (pos[:, None] - pos[None, :]) / np.where(close, 1.0, diff),
+    )
+
+    def pt(x):
+        return partial_transpose_array(x, dims)
+
+    def d2log(e):
+        e = v.conj().T @ e @ v
+        d = np.einsum("ikj,...kj->...ij", left, e) + np.einsum("ikj,...ik->...ij", right, e)
+        return v @ d @ v.conj().T
+
+    def dproj(x):
+        return u @ (t_plus * (u.conj().T @ x @ u)) @ u.conj().T
+
+    basis = _hermitian_basis(n)
+    a = _coords(pt(basis) - dproj(pt(basis + d2log(basis)))).T
+    rhs = _coords(dproj(pt(f1)) - f2)
+    d_sigma = np.tensordot(np.linalg.solve(a, rhs), basis, axes=1)
+    return d_sigma, pt(-f1 - d2log(d_sigma))
+
+
+def _newton_ppt(
+    rho: np.ndarray, sigma: np.ndarray, z: np.ndarray, dims: tuple[int, int]
+) -> tuple[np.ndarray, np.ndarray, int] | None:
+    """Semismooth Newton on the optimality system of the REE over the PPT set.
+
+    For full-rank σ, σ minimizes S(ρ‖·) over the PPT set iff some Z ⪰ 0 has
+    F1 = L_σ(ρ) - 1 + Z^Γ = 0 and Z·σ^Γ = 0 with σ^Γ ⪰ 0; the complementarity
+    is the natural-map equation F2 = σ^Γ - Π_PSD(σ^Γ - Z) = 0 (Sun & Sun,
+    Math. Oper. Res. 27, 150 (2002)). Tr σ = 1 follows: Tr[σ L_σ(ρ)] = 1.
+
+    Each step solves the linearization (`_ppt_newton_step`) and backtracks
+    until ‖F‖ decreases with σ positive definite. The loop stops at
+    NEWTON_TOL, after NEWTON_STEPS steps, or when no step decreases ‖F‖.
+    Returns σ, Z and the number of steps taken, or None when the start is
+    not positive definite or the linear system is singular.
+    """
+
+    def norm(out):
+        return float(np.hypot(np.linalg.norm(out[0]), np.linalg.norm(out[1])))
+
+    out = _ppt_residual(rho, sigma, z, dims)
+    if out is None:
+        return None
+    size = norm(out)
+    steps = 0
+    try:
+        while steps < NEWTON_STEPS and size > NEWTON_TOL:
+            f1, f2, parts = out
+            d_sigma, d_z = _ppt_newton_step(parts, f1, f2, dims)
+            alpha = 1.0
+            while alpha >= 1e-4:
+                trial = _ppt_residual(rho, sigma + alpha * d_sigma, z + alpha * d_z, dims)
+                if trial is not None and norm(trial) <= (1.0 - 1e-4 * alpha) * size:
+                    break
+                alpha *= 0.5
+            else:
+                break
+            sigma, z, out, size = sigma + alpha * d_sigma, z + alpha * d_z, trial, norm(trial)
+            steps += 1
+    except np.linalg.LinAlgError:  # a singular system, or a step to non-finite entries
+        return None
+    return sigma, z, steps
+
+
 @dataclass(frozen=True)
 class SolveResult:
     sigma_hat: HermitianMatrix
@@ -281,6 +465,7 @@ class SolveResult:
     projection_iters: int = 0  # inner projection iterations, summed over the solve
     projections_capped: int = 0  # projections that ran out of config.projection_iters
     backtracks: int = 0  # rejected Armijo trials, summed over the solve
+    newton_steps: int = 0  # steps of the accepted Newton attempt; 0 when SPG alone finished
 
 
 def minimize_ree(
@@ -292,7 +477,8 @@ def minimize_ree(
 ) -> SolveResult:
     """Minimize S(ρ‖σ) over the PPT set ("PPT") or the Rains set ("RAINS_T").
 
-    Spectral projected gradient. The candidate pool is the maximally mixed
+    Spectral projected gradient, finished by semismooth Newton over the PPT
+    set. The candidate pool is the maximally mixed
     state, the ``extra_candidates`` and, for the Rains set, ρ/‖ρ^Γ‖₁; the
     solve starts from its lowest-objective member that is feasible within
     TOL_FEAS. (P ⊂ T, so the REE minimizer passed as a candidate is a
@@ -315,10 +501,24 @@ def minimize_ree(
     projections that ran out of ``config.projection_iters``, and
     ``backtracks`` counts the rejected Armijo trials.
 
+    Over the PPT set, `_newton_ppt` runs after NEWTON_AFTER iterations from
+    the iterate and Z = (warm multiplier)/t, and once more where SPG stops,
+    never more than twice and never before NEWTON_AFTER iterations. Its
+    point replaces the iterate and ends the solve only when, shifted onto P
+    by `_shift_feasible`, it has `ppt.dual_bound(φ̂, dims, "PPT", Π_PSD(Z))`
+    - Tr[φ̂σ̂] ≤ GAP_STOP; a declined attempt leaves the solve exactly as SPG
+    alone runs it. ``newton_steps`` counts the steps of the accepted attempt
+    (0 when SPG alone finished).
+
+    A result feasible within TOL_FEAS is shifted exactly onto the set by
+    `_shift_feasible` before its value is taken, so the value is attained
+    by a feasible point; a result further out is returned as it is.
+
     ``cert_gap`` bounds the first-order gap, the maximum over the set of
-    Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smaller `ppt.dual_bound` of φ̂
-    at B = 0 and at B = λmax(φ̂^Γ)·1 - φ̂^Γ (PPT set) or B = φ̂^Γ (Rains set),
-    minus Tr[φ̂σ̂].
+    Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smallest `ppt.dual_bound` of φ̂
+    at B = 0, at B = λmax(φ̂^Γ)·1 - φ̂^Γ (PPT set) or B = φ̂^Γ (Rains set),
+    and at Newton's Π_PSD(Z) when Newton finished, minus Tr[φ̂σ̂], plus the
+    rounding of the value and the gap.
     By convexity the minimum lies in [value - cert_gap, value] whenever σ̂ is
     feasible. CONVERGED means exactly that: σ̂ is feasible within TOL_FEAS
     and ``cert_gap`` is at most CERT_TOL.
@@ -382,6 +582,23 @@ def minimize_ree(
     trace = [f]
     iterations = backtracks = 0
     mult = None
+
+    def newton_from(x, z):
+        # Newton from an SPG iterate, kept only when its point, shifted onto
+        # P, is certified to GAP_STOP at the dual point Π_PSD(Z).
+        out = _newton_ppt(rho_m, x, z, dims)
+        if out is None:
+            return None
+        x, z, steps = out
+        x = _shift_feasible(x, dims, "PPT")
+        fx, cache = evaluate(x)
+        gx = gradient(cache)
+        b = _clip_psd(z)
+        if dual_bound(-gx, dims, "PPT", b) - float(np.vdot(-gx, x).real) > GAP_STOP:
+            return None
+        return x, fx, gx, b, steps
+
+    newton = tried_at = None
     for k in range(cfg.max_iters):
         iterations = k + 1
         # One projection per iteration, warm-started from the last multiplier
@@ -419,6 +636,20 @@ def minimize_ree(
         t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
         if np.sqrt(ss) <= TOL_GRAD and k >= 2:
             break
+        if set_tag == "PPT" and iterations == NEWTON_AFTER:
+            newton, tried_at = newton_from(sigma, mult / t_mult), iterations
+            if newton is not None:
+                break
+    # One more attempt where SPG stopped, unless that is where the first was.
+    retry = iterations >= NEWTON_AFTER and iterations != tried_at
+    if set_tag == "PPT" and newton is None and retry:
+        newton = newton_from(sigma, mult / t_mult)
+    duals = []
+    newton_steps = 0
+    if newton is not None:
+        sigma, f, g, b, newton_steps = newton
+        trace.append(f)
+        duals.append(b)
 
     # The lowest pool value wins over the iterate; the feasibility test below
     # refuses an infeasible winner.
@@ -427,24 +658,37 @@ def minimize_ree(
         sigma = pool[i]
         g = gradient(evaluate(sigma)[1])
 
+    # A projection may run out of its cap on an infeasible point, and the
+    # bracket's upper end needs a feasible one. A point feasible to TOL_FEAS
+    # is shifted exactly onto the set, so that the value is an upper bound.
+    feasible = feasibility(sigma, dims) <= TOL_FEAS
+    if feasible:
+        shifted = _shift_feasible(sigma, dims, set_tag)
+        if shifted is not sigma:
+            sigma = shifted
+            g = gradient(evaluate(sigma)[1])
+
     phi_hat = -g
     anchor = float(np.vdot(phi_hat, sigma).real)
 
     phi_pt = partial_transpose_array(phi_hat, dims)
     if set_tag == "PPT":
-        b = float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt
+        duals.append(float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt)
     else:
-        b = phi_pt
-    cert_gap = min(
-        dual_bound(phi_hat, dims, set_tag, np.zeros_like(phi_hat)),
-        dual_bound(phi_hat, dims, set_tag, b),
-    ) - anchor
+        duals.append(phi_pt)
+    duals.append(np.zeros_like(phi_hat))
+    gap = min(dual_bound(phi_hat, dims, set_tag, b) for b in duals) - anchor
 
     sigma_h = hermitian(sigma, dims)
     value = relative_entropy(rho, sigma_h)
-    # A projection may run out of its cap on an infeasible point, and the
-    # bracket's upper end needs a feasible one.
-    converged = feasibility(sigma, dims) <= TOL_FEAS and cert_gap <= CERT_TOL
+    # Both ends of the bracket carry rounding: the value is a difference of
+    # two trace terms, the gap of two numbers near Tr[φ̂σ̂] = 1. The gap is
+    # nonnegative, and n·ε times the sum of those terms is added to it.
+    rounding = n * np.finfo(float).eps * (
+        abs(tr_rho_log_rho) + abs(tr_rho_log_rho - value) + abs(anchor)
+    )
+    cert_gap = max(0.0, gap) + rounding
+    converged = feasible and cert_gap <= CERT_TOL
     return SolveResult(
         sigma_hat=sigma_h,
         value=value,
@@ -455,6 +699,7 @@ def minimize_ree(
         projection_iters=projection_iters,
         projections_capped=projections_capped,
         backtracks=backtracks,
+        newton_steps=newton_steps,
     )
 
 

@@ -22,6 +22,7 @@ from entbound import (
     support_projector,
     trace_inner_product,
 )
+from entbound.frechet import divided_differences, log_second_divided_differences
 from conftest import fd_matrix_function, random_positive
 
 
@@ -222,3 +223,44 @@ class TestDirectionalDerivative:
         tau = random_hermitian((2, 1), rng)
         with pytest.raises(SupportViolationError):
             directional_derivative(log_fn(), rho, sigma, tau)
+
+
+class TestSecondDividedDifferences:
+    @staticmethod
+    def first_derivative(a, h):
+        # D log(A)[H] = V (log[w_i, w_j] ∘ V†HV) V†
+        w, v = np.linalg.eigh(a)
+        return v @ (divided_differences(log_fn(), w) * (v.conj().T @ h @ v)) @ v.conj().T
+
+    @pytest.mark.parametrize(
+        "spectrum",
+        [
+            [0.05, 0.2, 0.3, 0.45],
+            [0.1, 0.1, 0.3, 0.5],  # one coincident pair
+            [0.25, 0.25, 0.25, 0.25],  # all coincident
+        ],
+        ids=["distinct", "pair", "triple"],
+    )
+    def test_daleckii_krein_matches_central_differences(self, spectrum):
+        # D²log(A)[H, K]_ij = Σ_k log[w_i, w_k, w_j](H_ik K_kj + K_ik H_kj) against
+        # central differences of the first derivative along K.
+        rng = np.random.default_rng(4)
+        q, _ = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+        w = np.array(spectrum)
+        a = (q * w) @ q.conj().T
+        h, k = (random_hermitian((4, 1), rng).mat for _ in range(2))
+        t2 = log_second_divided_differences(w)
+        hh, kk = q.conj().T @ h @ q, q.conj().T @ k @ q
+        d2 = np.einsum("ikj,ik,kj->ij", t2, hh, kk) + np.einsum("ikj,ik,kj->ij", t2, kk, hh)
+        exact = q @ d2 @ q.conj().T
+        step = 1e-5
+        fd = (self.first_derivative(a + step * k, h) - self.first_derivative(a - step * k, h)) / (
+            2 * step
+        )
+        assert np.linalg.norm(fd - exact) <= 1e-6 * np.linalg.norm(exact)
+
+    def test_symmetric_in_its_three_arguments(self):
+        w = np.array([0.01, 0.2, 0.2 + 1e-12, 0.7])
+        t2 = log_second_divided_differences(w)
+        for perm in [(0, 2, 1), (1, 0, 2), (2, 1, 0)]:
+            assert np.allclose(t2, t2.transpose(perm), rtol=1e-6, atol=0.0)

@@ -20,6 +20,7 @@ from entbound import (
     trace_norm,
     verify_rains_min,
 )
+from entbound import solver
 from samplers import sample_T
 from conftest import bell_state, random_positive_state
 
@@ -251,10 +252,12 @@ class TestRainsVsLn:
 
 
 class TestQubitEqualityAudit:
-    def test_nonconverged_solves_fail_the_audit(self):
-        # Twelve iterations stop short of a certified optimum, and the Rains
-        # solve starts at the REE minimizer offered as its extra candidate, so
-        # the gap passes the bar and only the status count can refuse the audit.
+    def test_nonconverged_solves_fail_the_audit(self, monkeypatch):
+        # Twelve iterations of SPG alone (Newton declined) stop short of a
+        # certified optimum, and the Rains solve starts at the REE minimizer
+        # offered as its extra candidate, so the gap passes the bar and only
+        # the status count can refuse the audit.
+        monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
         report = qubit_equality_audit((2, 3), 5, 0, SolverConfig(max_iters=12))
         assert report.max_gap < 5e-4
         assert report.nonconverged > 0

@@ -24,14 +24,18 @@ from entbound import (
 from entbound import solver
 from entbound.solver import (
     CERT_TOL,
+    NEWTON_AFTER,
     PROJ_FEAS,
     _ppt_feasibility,
+    _ppt_newton_step,
+    _ppt_residual,
     _project,
     _project_simplex,
+    _shift_feasible,
     _t_feasibility,
 )
 from entbound.frechet import build_kernel, frechet_apply, log_fn
-from entbound.linalg import support_projector
+from entbound.linalg import partial_transpose_array, support_projector
 from conftest import bell_cps_anchor, bell_state
 from samplers import sample_T, sample_ppt_states
 
@@ -234,15 +238,21 @@ class TestStatus:
     def test_iteration_cap_short_of_optimum_is_nonconverged(self, seed):
         fam = _family(random_boundary_state((3, 3), seed))
         x = fam.x_max / 2
-        res = minimize_ree(fam.state(x), "PPT", SolverConfig(max_iters=3))
+        # Newton runs only after NEWTON_AFTER iterations, so two stay short.
+        assert NEWTON_AFTER > 2
+        res = minimize_ree(fam.state(x), "PPT", SolverConfig(max_iters=2))
         assert res.value - ree_closed_form(fam, x) > 1e-4
         assert res.cert_gap > CERT_TOL
         assert res.status == "NONCONVERGED"
+        assert res.newton_steps == 0
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
-    def test_infeasible_iterate_is_nonconverged(self, dims):
+    def test_infeasible_iterate_is_nonconverged(self, monkeypatch, dims):
         # One inner iteration leaves the NPT start rho outside P, and every
         # projection after it short of P; the zero objective has a small gap.
+        # Newton, which needs no projection, would end at the certified
+        # minimizer instead, so it is declined here.
+        monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
         rho = random_state(dims, np.random.default_rng(1))
         res = minimize_ree(rho, "PPT", SolverConfig(projection_iters=1), start=rho)
         assert _ppt_feasibility(res.sigma_hat.mat, dims) > 1e-3
@@ -296,6 +306,114 @@ class TestStatus:
             exact = ree_closed_form(fam, x)
             assert res.status == "CONVERGED"
             assert res.value - res.cert_gap <= exact <= res.value + 1e-9
+
+
+SHAPES = [(2, 2), (2, 3), (3, 3), (2, 4)]
+
+
+def npt_draws(dims, count):
+    rng = np.random.default_rng(0)
+    draws = []
+    while len(draws) < count:
+        rho = random_state(dims, rng)
+        if not is_ppt(rho):
+            draws.append(rho)
+    return draws
+
+
+class TestNewton:
+    @pytest.mark.parametrize("dims", SHAPES)
+    @pytest.mark.parametrize("seed", [1, 2])
+    def test_family_solve_is_certified_at_the_closed_form(self, dims, seed):
+        fam = _family(random_boundary_state(dims, seed))
+        x = fam.x_max / 2
+        res = minimize_ree(fam.state(x), "PPT")
+        exact = ree_closed_form(fam, x)
+        assert res.status == "CONVERGED"
+        assert res.cert_gap <= 1e-10
+        assert res.newton_steps > 0
+        assert abs(res.value - exact) <= 5e-12
+        assert res.value >= exact - 1e-13
+        assert np.linalg.eigvalsh(res.sigma_hat.pt.mat)[0] >= -1e-15
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_ginibre_solves_are_certified(self, dims):
+        for rho in npt_draws(dims, 2):
+            res = minimize_ree(rho, "PPT")
+            assert res.status == "CONVERGED"
+            assert res.cert_gap <= 1e-10
+            assert res.newton_steps > 0
+            assert np.linalg.eigvalsh(res.sigma_hat.pt.mat)[0] >= -1e-15
+
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    def test_step_solves_the_linearized_system(self, dims):
+        # J(dσ, dZ) = -(f1, f2) for arbitrary right-hand sides, with J checked
+        # by central differences of the residual F along (dσ, dZ).
+        rng = np.random.default_rng(5)
+        rho = random_state(dims, rng).mat
+        sigma = random_state(dims, rng).mat
+        z = random_hermitian(dims, rng).mat
+        parts = _ppt_residual(rho, sigma, z, dims)[2]
+        f1, f2 = (random_hermitian(dims, rng).mat for _ in range(2))
+        d_sigma, d_z = _ppt_newton_step(parts, f1, f2, dims)
+        h = 1e-4 / max(np.linalg.norm(d_sigma), np.linalg.norm(d_z))
+        plus = _ppt_residual(rho, sigma + h * d_sigma, z + h * d_z, dims)
+        minus = _ppt_residual(rho, sigma - h * d_sigma, z - h * d_z, dims)
+        for k, f in enumerate((f1, f2)):
+            fd = (plus[k] - minus[k]) / (2 * h)
+            assert np.linalg.norm(fd + f) <= 1e-6 * np.linalg.norm(f)
+
+    def test_declined_newton_leaves_the_spg_result(self, monkeypatch):
+        # A rank-1 state has a rank-deficient minimizer, outside the domain of
+        # the log-domain system: Newton declines and SPG's result stands.
+        rho = random_state((2, 2), np.random.default_rng(0), rank=1)
+        attempts = []
+        original = solver._newton_ppt
+
+        def counted(*args):
+            attempts.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "_newton_ppt", counted)
+        res = minimize_ree(rho, "PPT")
+        assert 1 <= len(attempts) <= 2
+        assert res.newton_steps == 0
+        monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
+        spg = minimize_ree(rho, "PPT")
+        assert np.array_equal(res.sigma_hat.mat, spg.sigma_hat.mat)
+        assert (res.value, res.cert_gap, res.status, res.iterations) == (
+            spg.value,
+            spg.cert_gap,
+            spg.status,
+            spg.iterations,
+        )
+        assert res.objective_trace == spg.objective_trace
+
+
+class TestShiftFeasible:
+    def test_ppt_point_lands_exactly_in_the_set(self):
+        # Push the anchor's partial transpose below zero along its kernel.
+        anchor = random_boundary_state((2, 3), 1)
+        w, v = anchor.pt.spectrum
+        kernel = partial_transpose_array(np.outer(v[:, 0], v[:, 0].conj()), (2, 3))
+        x = anchor.mat - 1e-9 * kernel + 1e-9 * np.eye(6) / 6
+        assert _ppt_feasibility(x, (2, 3)) > 1e-12
+        out = _shift_feasible(x, (2, 3), "PPT")
+        assert _ppt_feasibility(out, (2, 3)) <= 1e-15
+        assert np.linalg.norm(out - x) <= 1e-8
+
+    def test_rains_point_lands_exactly_in_the_set(self):
+        rho = random_state((2, 3), np.random.default_rng(0))
+        x = (1.0 + 1e-9) * rho.mat / trace_norm(rho.pt)
+        assert _t_feasibility(x, (2, 3)) > 1e-12
+        out = _shift_feasible(x, (2, 3), "RAINS_T")
+        assert _t_feasibility(out, (2, 3)) <= 1e-15
+        assert np.linalg.norm(out - x) <= 1e-8
+
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_interior_point_is_left_alone(self, set_tag):
+        x = np.eye(6, dtype=complex) / 6
+        assert _shift_feasible(x, (2, 3), set_tag) is x
 
 
 class TestProjectionCount:
