@@ -267,10 +267,8 @@ def rains_vs_ln(rho: HermitianMatrix, config=None) -> RainsLnReport:
     non-PPT states are always strict: there Tr[P_ρ τ] = Tr[τ] is maximized by
     PPT states at 1, above the anchor overlap.
     """
-    from .solver import SolverConfig, maximize_linear
+    from .solver import maximize_linear
 
-    if config is None:
-        config = SolverConfig()
     p_rho = support_projector(rho)
     res = maximize_linear(p_rho, config, set_tag="RAINS_T")
     anchor_overlap = 1.0 / trace_norm(rho.pt)
@@ -320,14 +318,12 @@ def qubit_equality_audit(
     PPT, so no sample would ever be drawn) and ``samples`` must be at least
     1 (a PASS needs a solve behind it).
     """
-    from .solver import SolverConfig, minimize_ree
+    from .solver import minimize_ree
 
     if min(dims) < 2:
         raise PreconditionError(f"both subsystems need dimension >= 2, got {dims}")
     if samples < 1:
         raise PreconditionError(f"samples must be at least 1, got {samples}")
-    if config is None:
-        config = SolverConfig()
     rng = np.random.default_rng(seed)
     ree_vals: list[float] = []
     rains_vals: list[float] = []

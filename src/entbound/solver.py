@@ -30,12 +30,13 @@ Zinchenko, Friedland & Gour, Phys. Rev. A 82, 052336 (2010) solve the REE
 from the same conditions). It starts at the SPG iterate with Z the warm
 multiplier B over its step t: at a fixed point with σ full rank the
 projection's conditions read t·g = B^Γ - t·1, so B/t is the paper's Z. Its
-point is kept only when, shifted exactly onto P, it is certified to
-GAP_STOP at the dual point Π_PSD(Z). Otherwise SPG goes on unchanged, and
-Newton gets one more attempt where SPG stops. Rank-deficient minimizers
-are outside the domain of log, so there Newton declines and SPG's result
-stands. The Rains set stays on SPG; its solve
-starts at the REE minimizer.
+point is kept only when the certificate the result reports, with Π_PSD(Z)
+among its dual points, finds it feasible and within GAP_STOP of optimal.
+Otherwise SPG goes on unchanged, and Newton gets one more attempt where SPG
+stops. Rank-deficient minimizers are outside the domain of log, so there
+Newton declines and SPG's result stands. The Rains set stays on SPG. Every
+solve starts at the best feasible member of its candidate pool, and the
+library's Rains solves put the REE minimizer in it.
 
 Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
@@ -68,7 +69,7 @@ from .linalg import (
     trace_norm,
 )
 from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
-from .frechet import divided_differences, log_fn, log_second_divided_differences
+from .frechet import ScalarFunction, divided_differences, log_fn, log_second_divided_differences
 from .ppt import SupportingFunctional, dual_bound, is_boundary_of_P, ppt_functional
 
 # minimize_ree reports CONVERGED only when its certified first-order gap is
@@ -106,6 +107,9 @@ PROJ_STATIONARY = 1e-10
 NEWTON_AFTER = 3
 NEWTON_STEPS = 12
 NEWTON_TOL = 1e-13
+# max(·, 0), whose divided differences give DΠ_PSD; clustered eigenvalues
+# take the one-sided derivative, 1 above 0 and 0 below.
+RELU = ScalarFunction("relu", -np.inf, np.inf, lambda x: np.maximum(x, 0.0), lambda x: x > 0.0)
 
 
 @dataclass(frozen=True)
@@ -161,19 +165,6 @@ def _project_pt_ball(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Project onto {X : ||X^Gamma||_1 <= 1}; the partial transpose is an isometry."""
     pt = partial_transpose_array(mat, dims)
     return partial_transpose_array(_project_spectral(pt, _project_l1_ball), dims)
-
-
-def _ppt_feasibility(mat: np.ndarray, dims: tuple[int, int]) -> float:
-    lam = float(np.linalg.eigvalsh(mat)[0])
-    lam_pt = float(np.linalg.eigvalsh(partial_transpose_array(mat, dims))[0])
-    tr = float(np.trace(mat).real)
-    return max(-lam, -lam_pt, abs(tr - 1.0))
-
-
-def _t_feasibility(mat: np.ndarray, dims: tuple[int, int]) -> float:
-    lam = float(np.linalg.eigvalsh(mat)[0])
-    ptnorm = float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_array(mat, dims)))))
-    return max(-lam, ptnorm - 1.0)
 
 
 def _project(
@@ -265,7 +256,7 @@ def _project_public(
     cfg = config or SolverConfig()
     x, _, _, capped = _project(a.mat, a.dims, set_tag, cfg.projection_iters)
     if capped:
-        feasibility = (_ppt_feasibility if set_tag == "PPT" else _t_feasibility)(x, a.dims)
+        feasibility = _shift_feasible(x, a.dims, set_tag)[1]
         raise ConvergenceError(
             f"projection onto the {'PPT' if set_tag == 'PPT' else 'Rains'} set hit its "
             f"cap of {cfg.projection_iters} iterations with feasibility residual {feasibility:.3e}"
@@ -293,26 +284,37 @@ def project_T(a: HermitianMatrix, config: SolverConfig | None = None) -> Hermiti
     return _project_public(a, "RAINS_T", config)
 
 
-def _shift_feasible(x: np.ndarray, dims: tuple[int, int], set_tag: str) -> np.ndarray:
-    """Move a nearly feasible point exactly onto the PPT set or the Rains set.
+def _shift_feasible(
+    x: np.ndarray, dims: tuple[int, int], set_tag: str
+) -> tuple[np.ndarray, float]:
+    """Measure how far x is from the PPT set or the Rains set, and move it onto it.
 
+    The residual is max(-λmin x, -λmin x^Γ, |Tr x - 1|) on the PPT set and
+    max(-λmin x, ‖x^Γ‖₁ - 1) on the Rains set. The move is
     x ↦ (x + ε·1)/(1 + nε), with ε = max(0, -λmin x^Γ, -λmin x) on the PPT
     set and ε = max(0, -λmin x) on the Rains set, which is then divided by
     max(1, ‖x^Γ‖₁). The mixture keeps a unit trace, and makes x^Γ and x PSD
-    because both grow by ε·1 before the positive rescaling. Returns x itself
-    when it needs no move.
+    because both grow by ε·1 before the positive rescaling; the mixture's
+    ‖x^Γ‖₁ is Σ|μᵢ + ε|/(1 + nε) over the eigenvalues μ of x^Γ, so one pair
+    of eigendecompositions gives both the residual and the move. Returns the
+    moved point, x itself when it needs no move, and x's residual.
     """
     n = x.shape[0]
-    eps = max(0.0, -float(np.linalg.eigvalsh(x)[0]))
+    lam = float(np.linalg.eigvalsh(x)[0])
+    mu = np.linalg.eigvalsh(partial_transpose_array(x, dims))
     if set_tag == "PPT":
-        eps = max(eps, -float(np.linalg.eigvalsh(partial_transpose_array(x, dims))[0]))
+        residual = max(-lam, -float(mu[0]), abs(float(np.trace(x).real) - 1.0))
+        eps = max(0.0, -lam, -float(mu[0]))
+    else:
+        residual = max(-lam, float(np.sum(np.abs(mu))) - 1.0)
+        eps = max(0.0, -lam)
     if eps > 0.0:
         x = (x + eps * np.eye(n)) / (1.0 + n * eps)
     if set_tag == "RAINS_T":
-        ptnorm = float(np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_array(x, dims)))))
+        ptnorm = float(np.sum(np.abs(mu + eps))) / (1.0 + n * eps)
         if ptnorm > 1.0:
             x = x / ptnorm
-    return x
+    return x, residual
 
 
 def _hermitian_basis(n: int) -> np.ndarray:
@@ -382,15 +384,7 @@ def _ppt_newton_step(
     n = w.size
     t2 = log_second_divided_differences(w)
     left, right = t2 * r[:, :, None], t2 * r[None, :, :]
-    # Equal eigenvalues take max(·, 0)'s one-sided derivative: 1 above 0, else 0.
-    pos = np.maximum(u_w, 0.0)
-    diff = u_w[:, None] - u_w[None, :]
-    close = np.abs(diff) <= 1e-14
-    t_plus = np.where(
-        close,
-        (u_w[:, None] + u_w[None, :] > 0.0) * 1.0,
-        (pos[:, None] - pos[None, :]) / np.where(close, 1.0, diff),
-    )
+    t_plus = divided_differences(RELU, u_w)
 
     def pt(x):
         return partial_transpose_array(x, dims)
@@ -473,17 +467,15 @@ def minimize_ree(
     set_tag: str,
     config: SolverConfig | None = None,
     extra_candidates: list[HermitianMatrix] | None = None,
-    start: HermitianMatrix | None = None,
 ) -> SolveResult:
     """Minimize S(ρ‖σ) over the PPT set ("PPT") or the Rains set ("RAINS_T").
 
     Spectral projected gradient, finished by semismooth Newton over the PPT
-    set. The candidate pool is the maximally mixed
-    state, the ``extra_candidates`` and, for the Rains set, ρ/‖ρ^Γ‖₁; the
-    solve starts from its lowest-objective member that is feasible within
+    set. The candidate pool is the maximally mixed state, the
+    ``extra_candidates`` and, for the Rains set, ρ/‖ρ^Γ‖₁; every solve
+    starts from its lowest-objective member that is feasible within
     TOL_FEAS. (P ⊂ T, so the REE minimizer passed as a candidate is a
-    feasible Rains start, and an optimal one when a side is a qubit.) An
-    explicit ``start`` wins over the pool and is projected cold.
+    feasible Rains start, and an optimal one when a side is a qubit.)
 
     Each iteration computes d = Π(σ - t·g) - σ, one projection of the
     Barzilai-Borwein step t, and backtracks α ← ARMIJO_BETA·α from α = 1
@@ -504,15 +496,17 @@ def minimize_ree(
     Over the PPT set, `_newton_ppt` runs after NEWTON_AFTER iterations from
     the iterate and Z = (warm multiplier)/t, and once more where SPG stops,
     never more than twice and never before NEWTON_AFTER iterations. Its
-    point replaces the iterate and ends the solve only when, shifted onto P
-    by `_shift_feasible`, it has `ppt.dual_bound(φ̂, dims, "PPT", Π_PSD(Z))`
-    - Tr[φ̂σ̂] ≤ GAP_STOP; a declined attempt leaves the solve exactly as SPG
-    alone runs it. ``newton_steps`` counts the steps of the accepted attempt
-    (0 when SPG alone finished).
+    point replaces the iterate and ends the solve only when the result's own
+    certificate (below, with Π_PSD(Z) among its dual points) finds it
+    feasible within TOL_FEAS with a gap of at most GAP_STOP; the accepted
+    point is returned with that certificate, as computed. A declined attempt
+    leaves the solve exactly as SPG alone runs it. ``newton_steps`` counts
+    the steps of the accepted attempt (0 when SPG alone finished).
 
-    A result feasible within TOL_FEAS is shifted exactly onto the set by
-    `_shift_feasible` before its value is taken, so the value is attained
-    by a feasible point; a result further out is returned as it is.
+    One step certifies every result. A result feasible within TOL_FEAS is
+    shifted exactly onto the set by `_shift_feasible` before its value is
+    taken, so the value is attained by a feasible point; a result further
+    out is returned as it is.
 
     ``cert_gap`` bounds the first-order gap, the maximum over the set of
     Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smallest `ppt.dual_bound` of φ̂
@@ -539,8 +533,6 @@ def minimize_ree(
     rho_m = rho.mat
     tr_rho_log_rho = _trace_xlogx(rho)
 
-    feasibility = _ppt_feasibility if set_tag == "PPT" else _t_feasibility
-
     def evaluate(mat):
         # Extended-real objective: +inf when rho has weight where sigma has
         # none, so descent can never cross the support wall.
@@ -561,42 +553,56 @@ def minimize_ree(
         g = -(v @ (t * r) @ v.conj().T)
         return (g + g.conj().T) / 2
 
+    def certify(x, duals):
+        # x moved exactly onto the set when it is feasible within TOL_FEAS
+        # (else left as it is), its objective f, Tr[φ̂x] with φ̂ = L_x(ρ), the
+        # first-order gap bounded by the smallest dual bound over ``duals``,
+        # the default dual point and B = 0, and whether x is feasible.
+        shifted, residual = _shift_feasible(x, dims, set_tag)
+        feasible = residual <= TOL_FEAS
+        if feasible:
+            x = shifted
+        f, cache = evaluate(x)
+        phi = -gradient(cache)
+        anchor = float(np.vdot(phi, x).real)
+        phi_pt = partial_transpose_array(phi, dims)
+        if set_tag == "PPT":
+            default = float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt
+        else:
+            default = phi_pt
+        duals = [*duals, default, np.zeros_like(phi)]
+        gap = min(dual_bound(phi, dims, set_tag, b) for b in duals) - anchor
+        return x, f, anchor, gap, feasible
+
     # Any feasible point upper-bounds the minimum: the pool is compared again
     # at the end, and its best feasible member is the start.
     pool = [np.eye(n, dtype=complex) / n] + [c.mat for c in extra_candidates or []]
     if set_tag == "RAINS_T":
         pool.append(rho_m / trace_norm(rho.pt))
-    pool_values = [evaluate(m)[0] for m in pool]
-    projection_iters = projections_capped = 0
-    if start is None:
-        feasible = [i for i, m in enumerate(pool) if feasibility(m, dims) <= TOL_FEAS]
-        sigma = pool[min(feasible, key=pool_values.__getitem__)]
-    else:
-        sigma, _, projection_iters, capped = _project(
-            start.mat, dims, set_tag, cfg.projection_iters
-        )
-        projections_capped = int(capped)
-    f, cache = evaluate(sigma)
+    pool_evals = [evaluate(m) for m in pool]
+    pool_values = [e[0] for e in pool_evals]
+    starts = [i for i, m in enumerate(pool) if _shift_feasible(m, dims, set_tag)[1] <= TOL_FEAS]
+    start = min(starts, key=pool_values.__getitem__)
+    sigma, (f, cache) = pool[start], pool_evals[start]
     g = gradient(cache)
     t = STEP_INIT / max(1.0, float(np.linalg.norm(g)))
     trace = [f]
-    iterations = backtracks = 0
+    iterations = backtracks = projection_iters = projections_capped = 0
     mult = None
 
     def newton_from(x, z):
-        # Newton from an SPG iterate, kept only when its point, shifted onto
-        # P, is certified to GAP_STOP at the dual point Π_PSD(Z).
+        # Newton from an SPG iterate, kept only when its point is feasible and
+        # certified to GAP_STOP with Π_PSD(Z) among the dual points.
         out = _newton_ppt(rho_m, x, z, dims)
         if out is None:
             return None
         x, z, steps = out
-        x = _shift_feasible(x, dims, "PPT")
-        fx, cache = evaluate(x)
-        gx = gradient(cache)
-        b = _clip_psd(z)
-        if dual_bound(-gx, dims, "PPT", b) - float(np.vdot(-gx, x).real) > GAP_STOP:
+        duals = [_clip_psd(z)]
+        cert = certify(x, duals)
+        *_, gap, feasible = cert
+        if not feasible or gap > GAP_STOP:
             return None
-        return x, fx, gx, b, steps
+        return cert, duals, steps
 
     newton = tried_at = None
     for k in range(cfg.max_iters):
@@ -644,40 +650,20 @@ def minimize_ree(
     retry = iterations >= NEWTON_AFTER and iterations != tried_at
     if set_tag == "PPT" and newton is None and retry:
         newton = newton_from(sigma, mult / t_mult)
-    duals = []
-    newton_steps = 0
+    duals, newton_steps = [], 0
     if newton is not None:
-        sigma, f, g, b, newton_steps = newton
+        cert, duals, newton_steps = newton
+        f = cert[1]
         trace.append(f)
-        duals.append(b)
 
-    # The lowest pool value wins over the iterate; the feasibility test below
-    # refuses an infeasible winner.
+    # The lowest pool value wins over the iterate, and is certified afresh;
+    # certify leaves an infeasible winner where it is, and it is refused below.
     i = min(range(len(pool)), key=pool_values.__getitem__)
     if pool_values[i] < f:
-        sigma = pool[i]
-        g = gradient(evaluate(sigma)[1])
-
-    # A projection may run out of its cap on an infeasible point, and the
-    # bracket's upper end needs a feasible one. A point feasible to TOL_FEAS
-    # is shifted exactly onto the set, so that the value is an upper bound.
-    feasible = feasibility(sigma, dims) <= TOL_FEAS
-    if feasible:
-        shifted = _shift_feasible(sigma, dims, set_tag)
-        if shifted is not sigma:
-            sigma = shifted
-            g = gradient(evaluate(sigma)[1])
-
-    phi_hat = -g
-    anchor = float(np.vdot(phi_hat, sigma).real)
-
-    phi_pt = partial_transpose_array(phi_hat, dims)
-    if set_tag == "PPT":
-        duals.append(float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt)
-    else:
-        duals.append(phi_pt)
-    duals.append(np.zeros_like(phi_hat))
-    gap = min(dual_bound(phi_hat, dims, set_tag, b) for b in duals) - anchor
+        cert = certify(pool[i], duals)
+    elif newton is None:
+        cert = certify(sigma, duals)
+    sigma, _, anchor, gap, feasible = cert
 
     sigma_h = hermitian(sigma, dims)
     value = relative_entropy(rho, sigma_h)
@@ -778,7 +764,6 @@ def maximize_linear(
     if set_tag == "PPT":
         project_x = lambda x: _project_spectral(x, _project_simplex)
         project_y = _clip_psd
-        feasibility = _ppt_feasibility
 
         def feasible(x):
             polished = _polish_to_boundary(x, dims)
@@ -787,7 +772,6 @@ def maximize_linear(
     else:
         project_x = _clip_psd
         project_y = lambda y: _project_spectral(y, _project_l1_ball)
-        feasibility = _t_feasibility
 
         def feasible(x):
             return x / max(1.0, float(np.sum(np.abs(np.linalg.eigvalsh(pt(x))))))
@@ -814,7 +798,7 @@ def maximize_linear(
         except PreconditionError:
             certificate = None
 
-    converged = feasibility(sigma, dims) <= TOL_FEAS and gap <= 1e-6
+    converged = _shift_feasible(sigma, dims, set_tag)[1] <= TOL_FEAS and gap <= 1e-6
     return LinearSolveResult(
         sigma_hat=sigma_h,
         value=value,

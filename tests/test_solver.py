@@ -26,18 +26,29 @@ from entbound.solver import (
     CERT_TOL,
     NEWTON_AFTER,
     PROJ_FEAS,
-    _ppt_feasibility,
     _ppt_newton_step,
     _ppt_residual,
     _project,
     _project_simplex,
     _shift_feasible,
-    _t_feasibility,
 )
 from entbound.frechet import build_kernel, frechet_apply, log_fn
 from entbound.linalg import partial_transpose_array, support_projector
 from conftest import bell_cps_anchor, bell_state
 from samplers import sample_T, sample_ppt_states
+
+
+# Reference residuals of the two sets, computed independently of the solver.
+def ppt_infeasibility(x, dims):
+    lam = np.linalg.eigvalsh(x)[0]
+    lam_pt = np.linalg.eigvalsh(partial_transpose_array(x, dims))[0]
+    return max(-lam, -lam_pt, abs(np.trace(x).real - 1.0))
+
+
+def t_infeasibility(x, dims):
+    lam = np.linalg.eigvalsh(x)[0]
+    ptnorm = np.sum(np.abs(np.linalg.eigvalsh(partial_transpose_array(x, dims))))
+    return max(-lam, ptnorm - 1.0)
 
 
 class TestConfig:
@@ -107,8 +118,8 @@ class TestProjectionCap:
         # Dykstra stopped at its cycle cap on this input, with a PT eigenvalue
         # near -4.6e-5 (P) and ||X^Gamma||_1 - 1 near 2.9e-4 (T).
         x = third_hermitian_draw()
-        assert _ppt_feasibility(project_P(x).mat, x.dims) <= 1e-11
-        assert _t_feasibility(project_T(x).mat, x.dims) <= 1e-11
+        assert ppt_infeasibility(project_P(x).mat, x.dims) <= 1e-11
+        assert t_infeasibility(project_T(x).mat, x.dims) <= 1e-11
 
 
 class TestDualProjection:
@@ -119,8 +130,8 @@ class TestDualProjection:
         # the set, so d = x - sigma descends on y = sigma - t g (take z = sigma).
         rng = np.random.default_rng(7)
         sample, feasibility = {
-            "PPT": (sample_ppt_states, _ppt_feasibility),
-            "RAINS_T": (sample_T, _t_feasibility),
+            "PPT": (sample_ppt_states, ppt_infeasibility),
+            "RAINS_T": (sample_T, t_infeasibility),
         }[set_tag]
         sigmas = sample(dims, 8, rng)
         zs = sample(dims, 200, rng)
@@ -152,7 +163,7 @@ class TestDualProjection:
         for start in (mult, factor * mult):
             x, _, inner, capped = _project(y, dims, "PPT", 2000, start, sigma.mat)
             assert not capped
-            assert _ppt_feasibility(x, dims) <= PROJ_FEAS
+            assert ppt_infeasibility(x, dims) <= PROJ_FEAS
             counts.append(inner)
         unscaled, scaled = counts
         assert scaled < unscaled
@@ -210,19 +221,13 @@ class TestMinimizeRee:
             assert res.value <= ln + 1e-8
             assert is_in_T(res.sigma_hat, tol=1e-8)
 
-    def test_restart_oracle_agreement(self, rng):
-        # The problem is convex; random restarts must land on the same value
-        # (guards against projection inexactness posing as local minima).
+    def test_random_states_are_certified(self, rng):
+        # The problem is convex, so a certified gap rules out a local minimum
+        # (or projection inexactness posing as one) without restarts.
         for _ in range(20):
-            rho = random_state((2, 2), rng)
-            main = minimize_ree(rho, "PPT")
-            best = np.inf
-            for _ in range(10):
-                raw = random_state((2, 2), rng)
-                start = hermitian(0.9 * raw.mat + 0.1 * np.eye(4) / 4, (2, 2))
-                res = minimize_ree(rho, "PPT", start=start)
-                best = min(best, res.value)
-            assert abs(main.value - best) < 1e-5
+            res = minimize_ree(random_state((2, 2), rng), "PPT")
+            assert res.status == "CONVERGED"
+            assert res.cert_gap <= 1e-10
 
     def test_rejects_non_state(self, rng):
         with pytest.raises(Exception):
@@ -248,14 +253,14 @@ class TestStatus:
 
     @pytest.mark.parametrize("dims", [(2, 3), (3, 3)])
     def test_infeasible_iterate_is_nonconverged(self, monkeypatch, dims):
-        # One inner iteration leaves the NPT start rho outside P, and every
-        # projection after it short of P; the zero objective has a small gap.
-        # Newton, which needs no projection, would end at the certified
-        # minimizer instead, so it is declined here.
+        # From the maximally mixed start, projections cut to one inner
+        # iteration each fall short of P, and the iterates leave it. Newton,
+        # which needs no projection, would end at the certified minimizer
+        # instead, so it is declined here.
         monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
         rho = random_state(dims, np.random.default_rng(1))
-        res = minimize_ree(rho, "PPT", SolverConfig(projection_iters=1), start=rho)
-        assert _ppt_feasibility(res.sigma_hat.mat, dims) > 1e-3
+        res = minimize_ree(rho, "PPT", SolverConfig(projection_iters=1))
+        assert ppt_infeasibility(res.sigma_hat.mat, dims) > 1e-3
         assert res.status == "NONCONVERGED"
 
     def test_projection_counters(self):
@@ -390,6 +395,18 @@ class TestNewton:
         assert res.objective_trace == spg.objective_trace
 
 
+def shift_inputs():
+    rho = random_state((2, 3), np.random.default_rng(0))
+    w, v = rho.spectrum
+    top = np.outer(v[:, -1], v[:, -1].conj())
+    return {
+        "not-psd": rho.mat - 2.0 * w[0] * np.outer(v[:, 0], v[:, 0].conj()) + 2.0 * w[0] * top,
+        "npt": rho.mat,
+        "off-trace": 1.1 * np.eye(6, dtype=complex) / 6,
+        "outside-T": (1.0 + 1e-3) * rho.mat / trace_norm(rho.pt),
+    }
+
+
 class TestShiftFeasible:
     def test_ppt_point_lands_exactly_in_the_set(self):
         # Push the anchor's partial transpose below zero along its kernel.
@@ -397,23 +414,43 @@ class TestShiftFeasible:
         w, v = anchor.pt.spectrum
         kernel = partial_transpose_array(np.outer(v[:, 0], v[:, 0].conj()), (2, 3))
         x = anchor.mat - 1e-9 * kernel + 1e-9 * np.eye(6) / 6
-        assert _ppt_feasibility(x, (2, 3)) > 1e-12
-        out = _shift_feasible(x, (2, 3), "PPT")
-        assert _ppt_feasibility(out, (2, 3)) <= 1e-15
+        out, residual = _shift_feasible(x, (2, 3), "PPT")
+        assert residual > 1e-12
+        assert ppt_infeasibility(out, (2, 3)) <= 1e-15
         assert np.linalg.norm(out - x) <= 1e-8
 
     def test_rains_point_lands_exactly_in_the_set(self):
         rho = random_state((2, 3), np.random.default_rng(0))
         x = (1.0 + 1e-9) * rho.mat / trace_norm(rho.pt)
-        assert _t_feasibility(x, (2, 3)) > 1e-12
-        out = _shift_feasible(x, (2, 3), "RAINS_T")
-        assert _t_feasibility(out, (2, 3)) <= 1e-15
+        out, residual = _shift_feasible(x, (2, 3), "RAINS_T")
+        assert residual > 1e-12
+        assert t_infeasibility(out, (2, 3)) <= 1e-15
         assert np.linalg.norm(out - x) <= 1e-8
 
     @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
     def test_interior_point_is_left_alone(self, set_tag):
         x = np.eye(6, dtype=complex) / 6
-        assert _shift_feasible(x, (2, 3), set_tag) is x
+        out, residual = _shift_feasible(x, (2, 3), set_tag)
+        assert out is x
+        assert residual <= 1e-15
+
+    @pytest.mark.parametrize("kind", ["not-psd", "npt", "off-trace", "outside-T"])
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_residual_matches_the_reference(self, kind, set_tag):
+        x = shift_inputs()[kind]
+        reference = (ppt_infeasibility if set_tag == "PPT" else t_infeasibility)(x, (2, 3))
+        assert reference > 1e-4
+        assert _shift_feasible(x, (2, 3), set_tag)[1] == pytest.approx(reference, rel=0, abs=1e-15)
+
+    def test_rains_move_matches_a_fresh_trace_norm(self):
+        # The mixture's ‖x^Γ‖₁ comes from x's own PT spectrum, shifted by ε.
+        x = shift_inputs()["not-psd"]
+        out, _ = _shift_feasible(x, (2, 3), "RAINS_T")
+        assert np.linalg.eigvalsh(out)[0] >= -1e-15
+        assert t_infeasibility(out, (2, 3)) <= 1e-15
+        eps = -np.linalg.eigvalsh(x)[0]
+        mixed = (x + eps * np.eye(6)) / (1.0 + 6 * eps)
+        assert np.allclose(out, mixed / max(1.0, trace_norm(hermitian(mixed, (2, 3)).pt)), atol=1e-15)
 
 
 class TestProjectionCount:
@@ -486,7 +523,7 @@ class TestMaximizeLinear:
     def test_rains_result_is_feasible_and_certified(self, make_m, expected):
         m = make_m()
         res = maximize_linear(m, set_tag="RAINS_T")
-        assert _t_feasibility(res.sigma_hat.mat, m.dims) <= solver.TOL_FEAS
+        assert t_infeasibility(res.sigma_hat.mat, m.dims) <= solver.TOL_FEAS
         assert 0.0 <= res.gap <= 1e-6
         assert res.value <= 1.0
         assert res.value == pytest.approx(expected, abs=1e-9)
@@ -499,7 +536,7 @@ class TestMaximizeLinear:
     )
     def test_ppt_result_is_feasible_and_certified(self, m):
         res = maximize_linear(m)
-        assert _ppt_feasibility(res.sigma_hat.mat, m.dims) <= solver.TOL_FEAS
+        assert ppt_infeasibility(res.sigma_hat.mat, m.dims) <= solver.TOL_FEAS
         assert 0.0 <= res.gap <= 1e-6
         assert res.status == "CONVERGED"
         assert res.certificate is not None
