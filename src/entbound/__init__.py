@@ -39,10 +39,12 @@ from .frechet import (
     FrechetKernel,
     ScalarFunction,
     build_kernel,
+    converse_image,
     directional_derivative,
     frechet_apply,
     frechet_pinv_apply,
     identity_fn,
+    induced_functional,
     log_fn,
     matrix_function,
     neg_log_fn,
@@ -80,7 +82,6 @@ from .ree import (
 )
 from .rains import (
     QubitEqualityReport,
-    RainsConverseResult,
     RainsLnReport,
     RainsMinCertificate,
     ball_functional,

@@ -1,5 +1,8 @@
 """Converse constructions and supporting-functional builders beyond the log case.
 
+`general_converse` (ρ = D‡_{g,σ*}(φ), refused unless PSD) backs the Rains and
+Renyi converses; `_log_closed_form` backs the REE and Rains closed forms.
+
 Every builder returns a matrix φ in the single repo-wide orientation:
 maximizing Tr[φσ] over the constraint set characterizes optimality of the
 anchor (Tr[φσ] ≤ Tr[φσ*]), equivalently the directional derivative of the
@@ -14,20 +17,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    NonInvertibleKernelError,
-    PreconditionError,
-    SupportViolationError,
-)
+from .errors import PreconditionError
+from .divergences import _check_positive, von_neumann_entropy, xlogx
 from .frechet import (
     ScalarFunction,
     build_kernel,
+    converse_image,
     frechet_apply,
-    frechet_pinv_apply,
     matrix_function,
     power_fn,
 )
-from .linalg import HermitianMatrix, hermitian, min_eigenvalue
+from .linalg import HermitianMatrix, hermitian, min_eigenvalue, trace_inner_product
 from .ppt import SupportingFunctional
 
 
@@ -50,31 +50,20 @@ def general_converse(
 ) -> ConverseOutcome:
     """Invert the supporting-functional map: ρ = D‡_{g,σ*}(φ) when PSD.
 
-    Requires an invertible kernel (g' nonzero on the in-domain eigenvalues of
-    σ*) and φ supported where the kernel acts. Refuses when the recovered
-    matrix is not PSD.
+    `frechet.converse_image` raises unless the kernel is invertible (g'
+    nonzero on the in-domain eigenvalues of σ*) and φ is supported where it
+    acts. Refuses when the recovered matrix is not PSD.
     """
     phi = functional.phi if isinstance(functional, SupportingFunctional) else functional
-    kernel = build_kernel(g, sigma_star)
-    if kernel.s is None:
-        raise NonInvertibleKernelError(
-            f"kernel of {g.name} at this anchor has no pseudo-inverse"
-        )
-    if not kernel.mask.all():
-        p = kernel.support_projector()
-        if np.linalg.norm(p.mat @ phi.mat @ p.mat - phi.mat) > 1e-9:
-            raise SupportViolationError(
-                "phi must vanish outside the support of the derivative operator"
-            )
-    rho = frechet_pinv_apply(kernel, phi)
+    rho = converse_image(build_kernel(g, sigma_star), phi)
     if min_eigenvalue(rho) < -1e-10:
         return ConverseOutcome(rho=None, refusal="D‡(phi) not PSD — no matrix minimized here")
     return ConverseOutcome(rho=rho, refusal=None)
 
 
-def _check_strictly_positive(a: HermitianMatrix, name: str) -> None:
-    if min_eigenvalue(a) <= 1e-12:
-        raise PreconditionError(f"{name} must be strictly positive")
+def _log_closed_form(rho: HermitianMatrix, phi: HermitianMatrix, anchor: HermitianMatrix) -> float:
+    """-S(ρ) - Tr[φ·σ* log σ*]: S(ρ‖σ*) when σ* minimizes it for ρ via φ."""
+    return -von_neumann_entropy(rho) - trace_inner_product(phi, xlogx(anchor))
 
 
 def quasi_functional(
@@ -85,8 +74,8 @@ def quasi_functional(
     φ = -Σ_i D_{f, σ*/p_i}(|ψ_i⟩⟨ψ_i|) over the spectral decomposition of ρ;
     for f = -log this is L_σ*(ρ), the relative-entropy hyperplane.
     """
-    _check_strictly_positive(rho, "rho")
-    _check_strictly_positive(sigma_star, "sigma*")
+    _check_positive(rho, "rho")
+    _check_positive(sigma_star, "sigma*")
     p, v = rho.spectrum
     acc = np.zeros_like(rho.mat)
     for i in range(p.size):
@@ -109,8 +98,8 @@ def renyi_functional(
     """
     if not 0.0 < alpha < 1.0:
         raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
-    _check_strictly_positive(rho, "rho")
-    _check_strictly_positive(sigma_star, "sigma*")
+    _check_positive(rho, "rho")
+    _check_positive(sigma_star, "sigma*")
     kernel = build_kernel(power_fn(1.0 - alpha), sigma_star)
     rho_alpha = matrix_function(power_fn(alpha), rho)
     return frechet_apply(kernel, rho_alpha)
@@ -119,14 +108,13 @@ def renyi_functional(
 def renyi_converse(
     alpha: float, sigma_star: HermitianMatrix, phi: HermitianMatrix
 ) -> HermitianMatrix:
-    """Invert ``renyi_functional``: ρ = (D‡_{x^(1-α),σ*}(φ))^(1/α)."""
+    """Invert ``renyi_functional``: ρ = (`general_converse` of x^(1-α) at σ*)^(1/α)."""
     if not 0.0 < alpha < 1.0:
         raise PreconditionError(f"alpha must lie in (0, 1), got {alpha}")
-    kernel = build_kernel(power_fn(1.0 - alpha), sigma_star)
-    inv = frechet_pinv_apply(kernel, phi)
-    if min_eigenvalue(inv) < -1e-10:
+    out = general_converse(power_fn(1.0 - alpha), sigma_star, phi)
+    if not out.accepted:
         raise PreconditionError("D‡(phi) is not PSD; no state corresponds to phi")
-    w, v = inv.spectrum
+    w, v = out.rho.spectrum
     w = np.clip(w, 0.0, None)
     return hermitian((v * np.power(w, 1.0 / alpha)) @ v.conj().T, sigma_star.dims)
 
@@ -143,8 +131,8 @@ def sandwiched_functional(
     """
     if not 0.5 <= alpha < 1.0:
         raise PreconditionError(f"alpha must lie in [1/2, 1), got {alpha}")
-    _check_strictly_positive(rho, "rho")
-    _check_strictly_positive(sigma_star, "sigma*")
+    _check_positive(rho, "rho")
+    _check_positive(sigma_star, "sigma*")
     beta = (1.0 - alpha) / (2.0 * alpha)
     w, v = sigma_star.spectrum
     s_beta = (v * np.power(w, beta)) @ v.conj().T

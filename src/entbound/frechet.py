@@ -29,12 +29,13 @@ from .linalg import (
     EIG_ZERO_RTOL,
     HermitianMatrix,
     SpectralDecomposition,
+    rel_tol,
     trace_inner_product,
 )
 
-# Eigenvalues within this margin of a domain endpoint are masked out; log at
-# exactly 0 must route to the mask, and solver-clipped spectra (floor 1e-12)
-# must stay in.
+# Eigenvalues within this margin of a domain endpoint are masked out, so log
+# at exactly 0 routes to the mask. The mask is the support that
+# `induced_functional` and `converse_image` test their operands against.
 DOMAIN_MARGIN = 1e-12
 # Eigenvalue pairs closer than CLUSTER_RTOL * max|eig| use the derivative
 # branch of the divided difference; the quotient is unstable below the gap.
@@ -99,7 +100,18 @@ class FrechetKernel:
         return self.t.shape[0]
 
     def support_projector(self) -> HermitianMatrix:
-        """Projector onto the masked-in eigenspaces of the anchor."""
+        """Projector onto the masked-in eigenspaces of the anchor.
+
+        Raises `DomainViolationError` when a masked-out eigenvalue lies more
+        than `rel_tol` outside the closure of g's domain (for log: the anchor
+        is not PSD); only boundary eigenvalues are masked out of a support.
+        """
+        w = self.basis.eigenvalues
+        bad = w[(w < self.g.a - rel_tol(w)) | (w > self.g.b + rel_tol(w))]
+        if bad.size:
+            raise DomainViolationError(
+                f"anchor eigenvalue {bad[0]:.6e} outside the closed domain of {self.g.name}"
+            )
         cols = self.basis.eigenvectors[:, self.mask]
         return HermitianMatrix(cols @ cols.conj().T, self.dims)
 
@@ -216,6 +228,44 @@ def matrix_function(
     return HermitianMatrix((v * vals) @ v.conj().T, a.dims)
 
 
+def induced_functional(k: FrechetKernel, rho: HermitianMatrix) -> HermitianMatrix:
+    """The functional φ̂ = D_{g,A}(ρ) that ρ induces at the kernel's anchor A.
+
+    A minimizes -Tr[ρ g(σ)] over a convex set exactly when φ̂ supports the
+    set at A. Raises `SupportViolationError` when ρ has more than
+    1e-11·max(1, |Tr ρ|) weight outside the masked-in eigenspaces of A,
+    where -Tr[ρ g(σ)] is infinite, and (through
+    `FrechetKernel.support_projector`) `DomainViolationError` when A is not
+    in the closure of g's domain.
+    """
+    if not k.mask.all():
+        outside = rho.trace() - trace_inner_product(rho, k.support_projector())
+        if outside > 1e-11 * max(1.0, abs(rho.trace())):
+            raise SupportViolationError(
+                "infinite divergence: rho has weight outside the in-domain support of the anchor"
+            )
+    return frechet_apply(k, rho)
+
+
+def converse_image(k: FrechetKernel, phi: HermitianMatrix) -> HermitianMatrix:
+    """The converse map ρ = D‡_{g,A}(φ) of a functional φ at the kernel's anchor A.
+
+    When φ supports the set at A and ρ is PSD, A minimizes -Tr[ρ g(σ)] there.
+    Raises `SupportViolationError` when ‖PφP - φ‖ > 1e-9, with P the
+    projector onto the masked-in eigenspaces of A, and as
+    `induced_functional` does when A is not in the closure of g's domain.
+    `frechet_pinv_apply` raises `NonInvertibleKernelError` when the kernel
+    has no pseudo-inverse.
+    """
+    if not k.mask.all():
+        p = k.support_projector().mat
+        if np.linalg.norm(p @ phi.mat @ p - phi.mat) > 1e-9:
+            raise SupportViolationError(
+                "phi must vanish outside the in-domain support of the anchor"
+            )
+    return frechet_pinv_apply(k, phi)
+
+
 def directional_derivative(
     g: ScalarFunction,
     rho: HermitianMatrix,
@@ -224,18 +274,12 @@ def directional_derivative(
 ) -> float:
     """Directional derivative of f(σ) = -Tr[ρ g(σ)] at σ in direction τ.
 
-    Equals -Tr[ρ D_{g,σ}(τ)]. Requires ρ PSD and supported inside the
-    in-domain eigenspaces of σ, else the true derivative is infinite.
+    Equals -Tr[ρ D_{g,σ}(τ)] = -Tr[τ D_{g,σ}(ρ)], D_{g,σ} being
+    self-adjoint. Requires ρ PSD and supported inside the in-domain
+    eigenspaces of σ (see `induced_functional`), else the true derivative is
+    infinite.
     """
     w_rho = rho.spectrum.eigenvalues
     if w_rho[0] < -EIG_ZERO_RTOL * max(1.0, float(np.max(np.abs(w_rho)))):
         raise NotPSDError(f"rho must be PSD (min eig {w_rho[0]:.3e})")
-    k = build_kernel(g, sigma)
-    if not k.mask.all():
-        p_in = k.support_projector()
-        outside = rho.trace() - trace_inner_product(rho, p_in)
-        if outside > 1e-11 * max(1.0, abs(rho.trace())):
-            raise SupportViolationError(
-                "infinite divergence: rho has weight outside the in-domain support of sigma"
-            )
-    return -trace_inner_product(rho, frechet_apply(k, tau))
+    return -trace_inner_product(tau, induced_functional(build_kernel(g, sigma), rho))

@@ -16,7 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotPSDError, PreconditionError, SupportViolationError
-from .frechet import build_kernel, frechet_apply, frechet_pinv_apply, log_fn
+from .criteria import ConverseOutcome, _log_closed_form, general_converse
+from .frechet import build_kernel, induced_functional, log_fn
 from .linalg import (
     HermitianMatrix,
     hermitian,
@@ -28,7 +29,7 @@ from .linalg import (
     trace_inner_product,
     trace_norm,
 )
-from .divergences import log_negativity, von_neumann_entropy, xlogx
+from .divergences import log_negativity
 from .ppt import RainsCertificate, SupportingFunctional, dual_bound, is_ppt
 
 
@@ -44,17 +45,27 @@ def _signed_eigenspaces(a: HermitianMatrix):
     tol = rel_tol(w)
     pos = w > tol
     neg = w < -tol
-    null = ~(pos | neg)
-    return w, v, pos, neg, null
+    return v, pos, neg, ~(pos | neg)
 
 
-def _check_null_block(v: np.ndarray, null: np.ndarray, q: HermitianMatrix) -> None:
-    """Require Q on the span of the ``null`` columns of v, with spectral norm at most 1."""
+def _signed_projectors(a: HermitianMatrix, q: HermitianMatrix | None):
+    """P₊, P₋ and the nullspace block Q of P₊ - P₋ + Q for the Hermitian ``a``.
+
+    P₊ and P₋ project onto the positive and negative eigenspaces of a. Q
+    defaults to zero and must otherwise live on the nullspace of a with
+    spectral norm at most 1.
+    """
+    v, pos, neg, null = _signed_eigenspaces(a)
+    p_pos = v[:, pos] @ v[:, pos].conj().T
+    p_neg = v[:, neg] @ v[:, neg].conj().T
+    if q is None:
+        return p_pos, p_neg, np.zeros_like(p_pos)
     pn = v[:, null] @ v[:, null].conj().T
     if np.linalg.norm(pn @ q.mat @ pn - q.mat) > 1e-10:
         raise PreconditionError("null block must be supported on the nullspace of the anchor")
     if np.max(np.abs(q.spectrum.eigenvalues)) > 1.0 + 1e-10:
         raise PreconditionError("null block must have spectral norm at most 1")
+    return p_pos, p_neg, q.mat
 
 
 def ball_functional(
@@ -70,13 +81,8 @@ def ball_functional(
     """
     if abs(trace_norm(alpha) - 1.0) > 1e-9:
         raise PreconditionError("anchor not on the unit sphere of the trace norm")
-    w, v, pos, neg, null = _signed_eigenspaces(alpha)
-    sgn = np.where(pos, 1.0, np.where(neg, -1.0, 0.0))
-    omega = (v * sgn) @ v.conj().T
-    if null_part is not None:
-        _check_null_block(v, null, null_part)
-        omega = omega + null_part.mat
-    return hermitian(omega, alpha.dims)
+    p_pos, p_neg, q = _signed_projectors(alpha, null_part)
+    return hermitian(p_pos - p_neg + q, alpha.dims)
 
 
 def rains_functional(
@@ -93,62 +99,32 @@ def rains_functional(
     tpt = tau_star.pt
     if abs(trace_norm(tpt) - 1.0) > 1e-9:
         raise PreconditionError("anchor must satisfy ||tau*^Gamma||_1 = 1")
-    w, v, pos, neg, null = _signed_eigenspaces(tpt)
-    p1 = v[:, pos] @ v[:, pos].conj().T
-    p2 = v[:, neg] @ v[:, neg].conj().T
-    if q is None:
-        q_mat = np.zeros_like(p1)
-    else:
-        _check_null_block(v, null, q)
-        q_mat = q.mat
+    p1, p2, q_mat = _signed_projectors(tpt, q)
     phi = hermitian(p1 - p2 + q_mat, tau_star.dims).pt
     cert = RainsCertificate(p1=p1.copy(), p2=p2.copy(), q=q_mat.copy())
     return SupportingFunctional(phi=phi, anchor=tau_star, set_tag="RAINS_T", certificate=cert)
 
 
-@dataclass(frozen=True)
-class RainsConverseResult:
-    """Either the state minimized by the anchor, or a named refusal."""
-
-    tau_star: HermitianMatrix
-    phi: HermitianMatrix
-    rho: HermitianMatrix | None
-    refusal: str | None
-
-    @property
-    def accepted(self) -> bool:
-        return self.rho is not None
-
-
 def rains_converse(
     tau_star: HermitianMatrix, functional: SupportingFunctional
-) -> RainsConverseResult:
+) -> ConverseOutcome:
     """Recover the state ρ = L‡_τ*(φ) minimized by τ*, or refuse.
 
-    Refusals: anchor off the trace-norm sphere; φ not supported inside
-    supp(τ*) for singular anchors; L‡_τ*(φ) not PSD (no state is minimized by
-    this hyperplane). Accepted states have unit trace and live on supp(τ*).
+    The converse map is `criteria.general_converse` with g = log. Refusals:
+    anchor off the trace-norm sphere; φ not supported inside supp(τ*) for
+    singular anchors; L‡_τ*(φ) not PSD (no state is minimized by this
+    hyperplane); L‡_τ*(φ) without unit trace. Accepted states have unit
+    trace and live on supp(τ*).
     """
-    phi = functional.phi
     if abs(trace_norm(tau_star.pt) - 1.0) > 1e-9:
-        return RainsConverseResult(tau_star, phi, None, "tau* is not on the trace-norm sphere")
-    if rank_of(tau_star) < tau_star.n:
-        p = support_projector(tau_star)
-        if np.linalg.norm(p.mat @ phi.mat @ p.mat - phi.mat) > 1e-9:
-            return RainsConverseResult(
-                tau_star, phi, None, "phi is not supported inside supp(tau*)"
-            )
-    kernel = build_kernel(log_fn(), tau_star)
-    rho = frechet_pinv_apply(kernel, phi)
-    if min_eigenvalue(rho) < -1e-10:
-        return RainsConverseResult(
-            tau_star, phi, None, "L‡(phi) not PSD — no state minimized here"
-        )
-    if abs(rho.trace() - 1.0) > 1e-9:
-        return RainsConverseResult(
-            tau_star, phi, None, f"recovered matrix has trace {rho.trace():.12f}"
-        )
-    return RainsConverseResult(tau_star, phi, rho, None)
+        return ConverseOutcome(None, "tau* is not on the trace-norm sphere")
+    try:
+        out = general_converse(log_fn(), tau_star, functional)
+    except SupportViolationError:
+        return ConverseOutcome(None, "phi is not supported inside supp(tau*)")
+    if out.accepted and abs(out.rho.trace() - 1.0) > 1e-9:
+        return ConverseOutcome(None, f"recovered matrix has trace {out.rho.trace():.12f}")
+    return out
 
 
 @dataclass(frozen=True)
@@ -172,29 +148,26 @@ def verify_rains_min(
 ) -> RainsMinCertificate:
     """Check the Rains minimization criterion Tr[L_τ*(ρ) τ] ≤ 1 over T.
 
-    Requires ‖τ*^Γ‖₁ = 1; the induced functional φ̂ = L_τ*(ρ) must match the
-    projector-pair certificate form in the eigenbasis of τ*^Γ (identity on the
-    positive eigenspace, minus identity on the negative one, a contraction on
-    the nullspace, no cross terms). The inequality itself is certified by
-    the weak-duality bound `ppt.dual_bound` on T at B = φ̂^Γ, which reads
-    ‖φ̂^Γ‖_op; ``max_violation``, that bound minus Tr[φ̂τ*], is a certified
-    upper bound on max over T of Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it
-    is at most ``dual_tol``.
+    Requires ρ on supp τ* (else `frechet.induced_functional` raises
+    `SupportViolationError`) and ‖τ*^Γ‖₁ = 1; the induced functional
+    φ̂ = L_τ*(ρ) must match the projector-pair certificate form in the
+    eigenbasis of τ*^Γ (identity on the positive eigenspace, minus identity
+    on the negative one, a contraction on the nullspace, no cross terms).
+    The inequality itself is certified by the weak-duality bound
+    `ppt.dual_bound` on T at B = φ̂^Γ, which reads ‖φ̂^Γ‖_op;
+    ``max_violation``, that bound minus Tr[φ̂τ*], is a certified upper bound
+    on max over T of Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it is at most
+    ``dual_tol``.
     """
     if abs(rho.trace() - 1.0) > 1e-9 or min_eigenvalue(rho) < -1e-9:
         raise PreconditionError("rho must be a unit-trace PSD state")
-    p = support_projector(tau_star)
-    if rho.trace() - trace_inner_product(rho, p) > 1e-9:
-        raise SupportViolationError("rho has weight outside supp(tau*)")
+    phi_hat = induced_functional(build_kernel(log_fn(), tau_star), rho)
 
     tpt = tau_star.pt
     norm_ok = abs(trace_norm(tpt) - 1.0) <= 1e-8
-
-    kernel = build_kernel(log_fn(), tau_star)
-    phi_hat = frechet_apply(kernel, rho)
     anchor_value = trace_inner_product(phi_hat, tau_star)
 
-    w, v, pos, neg, null = _signed_eigenspaces(tpt)
+    v, pos, neg, null = _signed_eigenspaces(tpt)
     phi_hat_pt = phi_hat.pt
     b = v.conj().T @ phi_hat_pt.mat @ v
     form_ok = True
@@ -239,7 +212,7 @@ def rains_closed_form(
     """
     if abs(trace_norm(tau_star.pt) - 1.0) > 1e-8:
         raise PreconditionError("anchor must satisfy ||tau*^Gamma||_1 = 1")
-    return -von_neumann_entropy(rho) - trace_inner_product(functional.phi, xlogx(tau_star))
+    return _log_closed_form(rho, functional.phi, tau_star)
 
 
 @dataclass(frozen=True)

@@ -18,20 +18,18 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionError, SupportViolationError
-from .frechet import build_kernel, frechet_apply, frechet_pinv_apply, log_fn
+from .errors import PreconditionError
+from .criteria import _log_closed_form
+from .frechet import build_kernel, converse_image, induced_functional, log_fn
 from .linalg import (
     HermitianMatrix,
     frobenius_norm,
     hermitian,
     min_eigenvalue,
     partial_transpose_array,
-    rank_of,
-    support_projector,
     to_json_dict,
     trace_inner_product,
 )
-from .divergences import SUPPORT_ATOL, von_neumann_entropy, xlogx
 from .ppt import (
     SupportingFunctional,
     dual_bound,
@@ -53,6 +51,7 @@ class StateFamily:
     x_max: float
     singular_cap_applied: bool
     direction_psd: bool
+    _support: HermitianMatrix = field(compare=False, repr=False)  # P_σ*, from the kernel's mask
     # ρ(x) by x, so that every caller of one member shares its cached spectrum;
     # a racing first use only builds the same value twice.
     _states: dict = field(default_factory=dict, init=False, compare=False, repr=False)
@@ -95,26 +94,16 @@ def build_family(
 
     The direction is L‡_σ*(φ); x_max = 1/λmax(S(σ* - L‡_σ*(φ))S), where S is
     the pseudo-inverse square root of σ*, or X_MAX_CAP when ρ(x) stays PSD
-    that far. A singular anchor requires φ supported inside supp σ* and caps
-    x_max at 1.
+    that far. A singular anchor requires φ supported inside supp σ* (else
+    `frechet.converse_image` raises `SupportViolationError`) and caps x_max
+    at 1.
     """
     _check_anchored(sigma_star, functional)
     if functional.set_tag != "PPT":
         raise PreconditionError("family construction needs a PPT-set functional")
 
-    n = sigma_star.n
-    full_rank = rank_of(sigma_star) == n
-    phi = functional.phi
-    if not full_rank:
-        p = support_projector(sigma_star)
-        compressed = p.mat @ phi.mat @ p.mat
-        if np.linalg.norm(compressed - phi.mat) > 1e-9:
-            raise SupportViolationError(
-                "singular anchor requires phi supported inside supp(sigma*)"
-            )
-
     kernel = build_kernel(log_fn(), sigma_star)
-    direction = frechet_pinv_apply(kernel, phi)
+    direction = converse_image(kernel, functional.phi)
     direction_psd = min_eigenvalue(direction) >= -1e-10
 
     # With S = σ*^{-1/2} on supp σ* (where D = L‡(φ) lives) and M = P - SDS,
@@ -124,7 +113,7 @@ def build_family(
     lam = 1.0 - float(np.linalg.eigvalsh(v.conj().T @ direction.mat @ v)[0])
     x_max = 1.0 / lam if lam > 1.0 / X_MAX_CAP else X_MAX_CAP
 
-    cap_applied = not full_rank
+    cap_applied = not kernel.mask.all()
     if cap_applied:
         x_max = min(1.0, x_max)
 
@@ -135,6 +124,7 @@ def build_family(
         x_max=x_max,
         singular_cap_applied=cap_applied,
         direction_psd=direction_psd,
+        _support=kernel.support_projector(),
     )
     # ρ(0) = σ*; trace is affine and PSD-ness convex, so the two ends of the
     # segment vouch for every point between them.
@@ -155,13 +145,10 @@ def ree_closed_form(family: StateFamily, x: float) -> float:
     if not 0.0 < x <= family.x_max + 1e-12:
         raise PreconditionError(f"x={x} outside (0, x_max={family.x_max}]")
     rho_x = family.state(x)
-    p = support_projector(family.sigma_star)
     phi_x = hermitian(
-        (1.0 - x) * p.mat + x * family.functional.phi.mat, family.sigma_star.dims
+        (1.0 - x) * family._support.mat + x * family.functional.phi.mat, family.sigma_star.dims
     )
-    return -von_neumann_entropy(rho_x) - trace_inner_product(
-        phi_x, xlogx(family.sigma_star)
-    )
+    return _log_closed_form(rho_x, phi_x, family.sigma_star)
 
 
 @dataclass(frozen=True)
@@ -216,17 +203,14 @@ def verify_cps(
     of φ̂ + B^Γ, when that state violates by more than ``tol``.
     ``form_matched`` reports the structural match (1 - φ̂ has a PSD partial
     transpose supported on the zero eigenspace) for full-rank anchors. For a
-    singular anchor the criterion is sufficient only.
+    singular anchor the criterion is sufficient only, and ρ must live on
+    supp σ* (else `frechet.induced_functional` raises
+    `SupportViolationError`).
     """
-    p = support_projector(sigma_star)
-    outside = rho.trace() - trace_inner_product(rho, p)
-    if outside > SUPPORT_ATOL:
-        raise SupportViolationError("not in domain: rho has weight outside supp(sigma*)")
-
     n = sigma_star.n
-    anchor_singular = rank_of(sigma_star) < n
     kernel = build_kernel(log_fn(), sigma_star)
-    phi_hat = frechet_apply(kernel, rho)
+    anchor_singular = not kernel.mask.all()
+    phi_hat = induced_functional(kernel, rho)
     anchor_value = trace_inner_product(phi_hat, sigma_star)
 
     delta_pt = np.eye(n) - phi_hat.pt.mat
@@ -298,8 +282,8 @@ def additivity_check(
     phi = functional.phi
     comm = np.linalg.norm(phi.mat @ sigma_star.mat - sigma_star.mat @ phi.mat)
 
-    full_rank = rank_of(sigma_star) == sigma_star.n
-    if not full_rank:
+    kernel = build_kernel(log_fn(), sigma_star)
+    if not kernel.mask.all():
         return AdditivityReport(
             commutator_norm=float(comm),
             condition_two_available=False,
@@ -308,8 +292,7 @@ def additivity_check(
             passed=False,
         )
 
-    kernel = build_kernel(log_fn(), sigma_star)
-    direction = frechet_pinv_apply(kernel, phi)
+    direction = converse_image(kernel, phi)
     sigma_inv = np.linalg.inv(sigma_star.mat)
     prod = direction.mat @ sigma_inv
     prod_h = hermitian((prod + prod.conj().T) / 2, sigma_star.dims)

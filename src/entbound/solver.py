@@ -344,21 +344,30 @@ def _coords(x: np.ndarray) -> np.ndarray:
     )
 
 
+def _spectral(rho: np.ndarray, x: np.ndarray) -> tuple:
+    """x with its raw spectrum, x = V diag(w) V†, and ρ in that basis, V†ρV."""
+    w, v = np.linalg.eigh(x)
+    return x, w, v, v.conj().T @ rho @ v
+
+
+def _log_derivative(w: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """L_x(ρ) = V (log[w_i, w_j] ∘ r) V† from x's spectrum and r = V†ρV."""
+    return v @ (divided_differences(log_fn(), w) * r) @ v.conj().T
+
+
 def _ppt_residual(
-    rho: np.ndarray, sigma: np.ndarray, z: np.ndarray, dims: tuple[int, int]
+    point: tuple, z: np.ndarray, dims: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, tuple] | None:
     """F1 = L_σ(ρ) - 1 + Z^Γ and F2 = σ^Γ - Π_PSD(σ^Γ - Z), with their spectra.
 
-    The spectra (σ = V diag(w) V†, ρ in σ's eigenbasis, W = σ^Γ - Z =
-    U diag(u_w) U†) are what `_ppt_newton_step` linearizes at. None unless
+    ``point`` is `_spectral(ρ, σ)`; its spectra and W = σ^Γ - Z =
+    U diag(u_w) U† are what `_ppt_newton_step` linearizes at. None unless
     σ is positive definite, the domain of log.
     """
-    w, v = np.linalg.eigh(sigma)
+    sigma, w, v, r = point
     if w[0] <= 0.0:
         return None
-    r = v.conj().T @ rho @ v
-    f1 = v @ (divided_differences(log_fn(), w) * r) @ v.conj().T - np.eye(w.size)
-    f1 = f1 + partial_transpose_array(z, dims)
+    f1 = _log_derivative(w, v, r) - np.eye(w.size) + partial_transpose_array(z, dims)
     s_pt = partial_transpose_array(sigma, dims)
     u_w, u = np.linalg.eigh(s_pt - z)
     f2 = s_pt - (u * np.maximum(u_w, 0.0)) @ u.conj().T
@@ -405,7 +414,7 @@ def _ppt_newton_step(
 
 
 def _newton_ppt(
-    rho: np.ndarray, sigma: np.ndarray, z: np.ndarray, dims: tuple[int, int]
+    rho: np.ndarray, point: tuple, z: np.ndarray, dims: tuple[int, int]
 ) -> tuple[np.ndarray, np.ndarray, int] | None:
     """Semismooth Newton on the optimality system of the REE over the PPT set.
 
@@ -414,9 +423,10 @@ def _newton_ppt(
     is the natural-map equation F2 = σ^Γ - Π_PSD(σ^Γ - Z) = 0 (Sun & Sun,
     Math. Oper. Res. 27, 150 (2002)). Tr σ = 1 follows: Tr[σ L_σ(ρ)] = 1.
 
-    Each step solves the linearization (`_ppt_newton_step`) and backtracks
-    until ‖F‖ decreases with σ positive definite. The loop stops at
-    NEWTON_TOL, after NEWTON_STEPS steps, or when no step decreases ‖F‖.
+    ``point`` is `_spectral(ρ, σ)` at the start. Each step solves the
+    linearization (`_ppt_newton_step`) and backtracks until ‖F‖ decreases
+    with σ positive definite. The loop stops at NEWTON_TOL, after
+    NEWTON_STEPS steps, or when no step decreases ‖F‖.
     Returns σ, Z and the number of steps taken, or None when the start is
     not positive definite or the linear system is singular.
     """
@@ -424,7 +434,7 @@ def _newton_ppt(
     def norm(out):
         return float(np.hypot(np.linalg.norm(out[0]), np.linalg.norm(out[1])))
 
-    out = _ppt_residual(rho, sigma, z, dims)
+    out = _ppt_residual(point, z, dims)
     if out is None:
         return None
     size = norm(out)
@@ -435,17 +445,18 @@ def _newton_ppt(
             d_sigma, d_z = _ppt_newton_step(parts, f1, f2, dims)
             alpha = 1.0
             while alpha >= 1e-4:
-                trial = _ppt_residual(rho, sigma + alpha * d_sigma, z + alpha * d_z, dims)
+                trial_point = _spectral(rho, point[0] + alpha * d_sigma)
+                trial = _ppt_residual(trial_point, z + alpha * d_z, dims)
                 if trial is not None and norm(trial) <= (1.0 - 1e-4 * alpha) * size:
                     break
                 alpha *= 0.5
             else:
                 break
-            sigma, z, out, size = sigma + alpha * d_sigma, z + alpha * d_z, trial, norm(trial)
+            point, z, out, size = trial_point, z + alpha * d_z, trial, norm(trial)
             steps += 1
     except np.linalg.LinAlgError:  # a singular system, or a step to non-finite entries
         return None
-    return sigma, z, steps
+    return point[0], z, steps
 
 
 @dataclass(frozen=True)
@@ -535,22 +546,18 @@ def minimize_ree(
 
     def evaluate(mat):
         # Extended-real objective: +inf when rho has weight where sigma has
-        # none, so descent can never cross the support wall.
-        w, v = np.linalg.eigh(mat)
-        r = v.conj().T @ rho_m @ v
+        # none, so descent can never cross the support wall. The cache is
+        # mat with its raw spectrum; each consumer floors it as it needs.
+        cache = _, w, v, r = _spectral(rho_m, mat)
         rdiag = np.diag(r).real
-        wc = np.clip(w, EIG_FLOOR, None)
         if np.any(rdiag[w < SUPPORT_ATOL] > SUPPORT_ATOL):
-            return np.inf, (wc, v, r)
-        f = tr_rho_log_rho - float(np.sum(rdiag * np.log(wc)))
-        return f, (wc, v, r)
-
-    log = log_fn()
+            return np.inf, cache
+        f = tr_rho_log_rho - float(np.sum(rdiag * np.log(np.clip(w, EIG_FLOOR, None))))
+        return f, cache
 
     def gradient(cache):
-        w, v, r = cache
-        t = divided_differences(log, w)
-        g = -(v @ (t * r) @ v.conj().T)
+        _, w, v, r = cache
+        g = -_log_derivative(np.clip(w, EIG_FLOOR, None), v, r)
         return (g + g.conj().T) / 2
 
     def certify(x, duals):
@@ -590,10 +597,10 @@ def minimize_ree(
     iterations = backtracks = projection_iters = projections_capped = 0
     mult = None
 
-    def newton_from(x, z):
-        # Newton from an SPG iterate, kept only when its point is feasible and
-        # certified to GAP_STOP with Π_PSD(Z) among the dual points.
-        out = _newton_ppt(rho_m, x, z, dims)
+    def newton_from(cache, z):
+        # Newton from an SPG iterate's cache, kept only when its point is
+        # feasible and certified to GAP_STOP with Π_PSD(Z) among the duals.
+        out = _newton_ppt(rho_m, cache, z, dims)
         if out is None:
             return None
         x, z, steps = out
@@ -637,19 +644,19 @@ def minimize_ree(
         y = g_new - g
         ss = float(np.vdot(s, s).real)
         sy = float(np.vdot(s, y).real)
-        sigma, f, g = cand, fc, g_new
+        sigma, f, g, cache = cand, fc, g_new, cand_cache
         trace.append(f)
         t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
         if np.sqrt(ss) <= TOL_GRAD and k >= 2:
             break
         if set_tag == "PPT" and iterations == NEWTON_AFTER:
-            newton, tried_at = newton_from(sigma, mult / t_mult), iterations
+            newton, tried_at = newton_from(cache, mult / t_mult), iterations
             if newton is not None:
                 break
     # One more attempt where SPG stopped, unless that is where the first was.
     retry = iterations >= NEWTON_AFTER and iterations != tried_at
     if set_tag == "PPT" and newton is None and retry:
-        newton = newton_from(sigma, mult / t_mult)
+        newton = newton_from(cache, mult / t_mult)
     duals, newton_steps = [], 0
     if newton is not None:
         cert, duals, newton_steps = newton

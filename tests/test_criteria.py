@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from entbound import (
+    PreconditionError,
+    SupportViolationError,
     build_family,
     build_kernel,
     frechet_apply,
@@ -66,6 +68,11 @@ class TestGeneralConverse:
         assert not out.accepted
         assert "not PSD" in out.refusal
 
+    def test_phi_off_a_singular_anchor_support_raises(self):
+        sigma = hermitian(np.diag([1.0, 0.0]))
+        with pytest.raises(SupportViolationError):
+            general_converse(log_fn(), sigma, hermitian(np.eye(2)))
+
 
 class TestQuasiFunctional:
     def test_neg_log_gives_log_derivative_functional(self, rng):
@@ -129,6 +136,12 @@ class TestRenyiFunctional:
             phi = renyi_functional(alpha, rho, sigma)
             back = renyi_converse(alpha, sigma, phi)
             assert np.linalg.norm(back.mat - rho.mat) < 1e-8
+
+    def test_converse_refuses_indefinite_preimage(self):
+        # σ* and φ commute, so D‡(φ) = diag(1/g'(0.6), -1/g'(0.4)) is indefinite.
+        sigma = hermitian(np.diag([0.6, 0.4]))
+        with pytest.raises(PreconditionError):
+            renyi_converse(0.5, sigma, hermitian(np.diag([1.0, -1.0])))
 
     def test_finite_difference_trace_term(self, rng):
         alpha = 0.5

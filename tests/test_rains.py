@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from entbound import (
+    DomainViolationError,
     PreconditionError,
     SolverConfig,
+    SupportViolationError,
     ball_functional,
     hermitian,
     is_in_T,
@@ -173,6 +175,15 @@ class TestRainsConverse:
         assert not res.accepted
         assert "sphere" in res.refusal
 
+    def test_phi_off_a_singular_anchor_support_refusal(self):
+        # The functional of a full-rank sphere point has weight off the
+        # rank-one support of Φ⁺/2.
+        tau = hermitian(bell_state().mat / 2, (2, 2))
+        other = scaled_to_sphere(random_positive_state((2, 2), np.random.default_rng(3)))
+        res = rains_converse(tau, rains_functional(other))
+        assert not res.accepted
+        assert "not supported" in res.refusal
+
 
 class TestVerifyRainsMin:
     def test_scaled_anchor_fails_norm(self):
@@ -181,12 +192,17 @@ class TestVerifyRainsMin:
         assert not cert.norm_ok
         assert not cert.passed
 
-    def test_wrong_state_fails_form(self, rng):
-        # A state misaligned with the anchor cannot induce the projector form.
+    def test_state_off_the_anchor_support_raises(self):
+        # |00⟩ has weight 1/2 outside the rank-one support of Φ⁺/2.
         tau = hermitian(bell_state().mat / 2, (2, 2))
         rho = hermitian(np.diag([1.0, 0.0, 0.0, 0.0]), (2, 2))
-        with pytest.raises(Exception):
-            # rho has weight outside supp(tau*): support violation.
+        with pytest.raises(SupportViolationError):
+            verify_rains_min(rho, tau)
+
+    def test_anchor_not_psd_raises(self):
+        tau = hermitian(np.diag([0.6, 0.6, -0.1, -0.1]), (2, 2))
+        rho = hermitian(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2))
+        with pytest.raises(DomainViolationError):
             verify_rains_min(rho, tau)
 
     def test_bell_pass(self):

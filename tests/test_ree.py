@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from entbound import (
+    DomainViolationError,
     PreconditionError,
     SupportViolationError,
     additivity_check,
@@ -188,6 +189,12 @@ class TestVerifyCps:
         singular = hermitian(np.outer(ket, ket), (2, 2))
         with pytest.raises(SupportViolationError):
             verify_cps(hermitian(np.eye(4) / 4, (2, 2)), singular)
+
+    def test_anchor_not_psd_raises(self):
+        # Masking the negative eigenvalues alone would report PASS here.
+        sigma = hermitian(np.diag([0.6, 0.6, -0.1, -0.1]), (2, 2))
+        with pytest.raises(DomainViolationError):
+            verify_cps(hermitian(np.diag([0.5, 0.5, 0.0, 0.0]), (2, 2)), sigma)
 
     def test_forward_solver_agrees(self, bell_family):
         rho = bell_family.state(1.3)

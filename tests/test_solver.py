@@ -31,6 +31,7 @@ from entbound.solver import (
     _project,
     _project_simplex,
     _shift_feasible,
+    _spectral,
 )
 from entbound.frechet import build_kernel, frechet_apply, log_fn
 from entbound.linalg import partial_transpose_array, support_projector
@@ -358,12 +359,12 @@ class TestNewton:
         rho = random_state(dims, rng).mat
         sigma = random_state(dims, rng).mat
         z = random_hermitian(dims, rng).mat
-        parts = _ppt_residual(rho, sigma, z, dims)[2]
+        parts = _ppt_residual(_spectral(rho, sigma), z, dims)[2]
         f1, f2 = (random_hermitian(dims, rng).mat for _ in range(2))
         d_sigma, d_z = _ppt_newton_step(parts, f1, f2, dims)
         h = 1e-4 / max(np.linalg.norm(d_sigma), np.linalg.norm(d_z))
-        plus = _ppt_residual(rho, sigma + h * d_sigma, z + h * d_z, dims)
-        minus = _ppt_residual(rho, sigma - h * d_sigma, z - h * d_z, dims)
+        plus = _ppt_residual(_spectral(rho, sigma + h * d_sigma), z + h * d_z, dims)
+        minus = _ppt_residual(_spectral(rho, sigma - h * d_sigma), z - h * d_z, dims)
         for k, f in enumerate((f1, f2)):
             fd = (plus[k] - minus[k]) / (2 * h)
             assert np.linalg.norm(fd + f) <= 1e-6 * np.linalg.norm(f)
