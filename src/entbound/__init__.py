@@ -59,8 +59,6 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .ppt import (
-    PPTCertificate,
-    RainsCertificate,
     SupportingFunctional,
     functional_from_json_dict,
     functional_to_json_dict,
@@ -68,6 +66,7 @@ from .ppt import (
     is_ppt,
     ppt_functional,
     random_boundary_state,
+    supporting_dual,
 )
 from .ree import (
     AdditivityReport,

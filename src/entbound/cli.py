@@ -90,7 +90,7 @@ def _cmd_ppt_functional(args) -> int:
     coeffs = None
     if args.coeffs:
         coeffs = np.asarray(_load_json(args.coeffs), dtype=float)
-    functional = ppt_functional(sigma, coeffs, tol=args.tol)
+    functional = ppt_functional(sigma, coeffs)
     _emit(functional_to_json_dict(functional), args.out)
     return 0
 
@@ -282,7 +282,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ppt-functional", help="supporting functional at a boundary state")
     p.add_argument("--sigma-star", required=True)
     p.add_argument("--coeffs", help="JSON array of nonnegative coefficients")
-    p.add_argument("--tol", type=float, default=None, help="zero-eigenvalue threshold override")
     add_common(p)
     p.set_defaults(fn=_cmd_ppt_functional)
 

@@ -155,6 +155,19 @@ def rel_tol(w: np.ndarray) -> float:
     return EIG_ZERO_RTOL * float(np.max(np.abs(w)))
 
 
+def signed_eigenspaces(a: HermitianMatrix):
+    """Eigenvectors of ``a`` with masks of its positive, negative and zero eigenvalues.
+
+    An eigenvalue is zero when its magnitude is at most `rel_tol` of the
+    spectrum. Returns ``(v, pos, neg, null)``.
+    """
+    w, v = a.spectrum
+    tol = rel_tol(w)
+    pos = w > tol
+    neg = w < -tol
+    return v, pos, neg, ~(pos | neg)
+
+
 def partial_transpose_array(mat: np.ndarray, dims: tuple[int, int]) -> np.ndarray:
     """Partial transpose of an array of shape ``(..., n, n)``, ``n = n1 * n2``.
 

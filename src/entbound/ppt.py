@@ -9,8 +9,11 @@ where |φ_i⟩ runs over the zero eigenvectors of σ*^Γ. Then Tr[φσ] ≤ 1 fo
 PPT σ with equality at σ*, and the coefficients are rescaled so that
 Tr[(P_σ* - φ)²] = 1.
 
-Whether a given φ attains its maximum over the PPT set or the Rains set at
-a point is decided by one weak-duality bound, `dual_bound`, which every
+On the Rains set the form is (P₁ - P₂ + Q)^Γ (see `entbound.rains`). On
+either set the form is a dual point B of the weak-duality bound
+`dual_bound`, read off φ and its anchor by `supporting_dual`, and φ has the
+form exactly when B rebuilds it (`form_residual`). Whether a given φ attains
+its maximum over the set at a point is decided by `dual_bound`, which every
 certificate in the package evaluates at its own dual point.
 """
 
@@ -25,77 +28,57 @@ from .linalg import (
     HermitianMatrix,
     from_json_dict,
     hermitian,
+    is_psd,
     partial_transpose_array,
     random_state,
     rel_tol,
+    signed_eigenspaces,
     support_projector,
     to_json_dict,
     trace_inner_product,
 )
 
 
-@dataclass(frozen=True)
-class PPTCertificate:
-    """Nonnegative coefficients paired with zero eigenvectors of anchor^Γ."""
-
-    coefficients: np.ndarray  # (m,) floats, ≥ 0, rescaled for normalization
-    zero_eigenvectors: np.ndarray  # (n, m) columns
-
-    def __post_init__(self) -> None:
-        self.coefficients.setflags(write=False)
-        self.zero_eigenvectors.setflags(write=False)
-
-
-@dataclass(frozen=True)
-class RainsCertificate:
-    """Projector pair covering the ±eigenspaces of anchor^Γ plus a null block."""
-
-    p1: np.ndarray
-    p2: np.ndarray
-    q: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.p1.setflags(write=False)
-        self.p2.setflags(write=False)
-        self.q.setflags(write=False)
+# Frobenius bound on φ - built(B), the distance of φ from the supporting form
+# rebuilt from its own dual point B = `supporting_dual(φ, anchor, set)`.
+FORM_TOL = 1e-7
 
 
 @dataclass(frozen=True)
 class SupportingFunctional:
-    """Matrix φ with a certificate of why it supports a convex set at an anchor."""
+    """Matrix φ supporting the PPT set ("PPT") or the Rains set ("RAINS_T") at an anchor.
+
+    The constructor checks that Tr[φ·anchor] = 1, that φ has its set's form
+    at the anchor (`form_residual` at `supporting_dual` at most FORM_TOL)
+    and that the anchor lies in the set (`is_ppt`, or PSD for the Rains
+    set). Together these say that Tr[φσ] ≤ 1 over the set, with equality at
+    the anchor.
+    """
 
     phi: HermitianMatrix
     anchor: HermitianMatrix
-    set_tag: str  # "PPT" or "RAINS_T"
-    certificate: PPTCertificate | RainsCertificate
+    set_tag: str
 
     def __post_init__(self) -> None:
         if self.set_tag not in ("PPT", "RAINS_T"):
             raise PreconditionError(f"unknown set tag {self.set_tag!r}")
+        if self.phi.dims != self.anchor.dims:
+            raise DimensionMismatchError(f"dims {self.phi.dims} != {self.anchor.dims}")
         anchor_value = trace_inner_product(self.phi, self.anchor)
         if abs(anchor_value - 1.0) > 1e-9:
             raise PreconditionError(
                 f"anchor equality violated: Tr[phi anchor] = {anchor_value:.12f}"
             )
-        if isinstance(self.certificate, PPTCertificate):
-            a = self.certificate.coefficients
-            if np.any(a < -1e-15):
-                raise PreconditionError("PPT certificate coefficients must be nonnegative")
-            apt = self.anchor.pt.mat
-            for k in range(self.certificate.zero_eigenvectors.shape[1]):
-                vec = self.certificate.zero_eigenvectors[:, k]
-                if np.linalg.norm(apt @ vec) > 1e-8:
-                    raise PreconditionError(
-                        "certificate vector is not a zero eigenvector of anchor^Γ"
-                    )
-        else:
-            p1, p2, q = self.certificate.p1, self.certificate.p2, self.certificate.q
-            if np.linalg.norm(p1 @ p2) > 1e-10:
-                raise PreconditionError("P1 and P2 must be disjoint projectors")
-            if np.linalg.norm(p1 @ q) > 1e-10 or np.linalg.norm(p2 @ q) > 1e-10:
-                raise PreconditionError("Q must live on the nullspace of anchor^Γ")
-            if q.size and np.max(np.abs(np.linalg.eigvalsh(q))) > 1.0 + 1e-10:
-                raise PreconditionError("Q must have spectral norm at most 1")
+        b = supporting_dual(self.phi, self.anchor, self.set_tag)
+        residual = form_residual(self.phi, self.set_tag, b)
+        if residual > FORM_TOL:
+            raise PreconditionError(
+                f"phi lacks the supporting form of {self.set_tag} at its anchor "
+                f"(residual {residual:.3e})"
+            )
+        inside = is_ppt(self.anchor) if self.set_tag == "PPT" else is_psd(self.anchor)
+        if not inside:
+            raise PreconditionError(f"anchor lies outside the {self.set_tag} set")
 
     @property
     def anchor_value(self) -> float:
@@ -103,47 +86,66 @@ class SupportingFunctional:
 
 
 def functional_to_json_dict(f: SupportingFunctional) -> dict:
-    if isinstance(f.certificate, PPTCertificate):
-        cert = {
-            "a": f.certificate.coefficients.tolist(),
-            "zero_eigenvectors_re": f.certificate.zero_eigenvectors.real.tolist(),
-            "zero_eigenvectors_im": f.certificate.zero_eigenvectors.imag.tolist(),
-        }
-    else:
-        cert = {
-            "p1": to_json_dict(hermitian(f.certificate.p1, f.anchor.dims)),
-            "p2": to_json_dict(hermitian(f.certificate.p2, f.anchor.dims)),
-            "q": to_json_dict(hermitian(f.certificate.q, f.anchor.dims)),
-        }
-    return {
-        "phi": to_json_dict(f.phi),
-        "anchor": to_json_dict(f.anchor),
-        "set": f.set_tag,
-        "certificate": cert,
-    }
+    return {"phi": to_json_dict(f.phi), "anchor": to_json_dict(f.anchor), "set": f.set_tag}
 
 
 def functional_from_json_dict(d: dict) -> SupportingFunctional:
+    """Read a functional; the ``certificate`` key of older files is ignored."""
     try:
         phi = from_json_dict(d["phi"])
         anchor = from_json_dict(d["anchor"])
         tag = d["set"]
-        cert_d = d["certificate"]
-        if tag == "PPT":
-            cert = PPTCertificate(
-                coefficients=np.asarray(cert_d["a"], dtype=float),
-                zero_eigenvectors=np.asarray(cert_d["zero_eigenvectors_re"], dtype=float)
-                + 1j * np.asarray(cert_d["zero_eigenvectors_im"], dtype=float),
-            )
-        else:
-            cert = RainsCertificate(
-                p1=from_json_dict(cert_d["p1"]).mat.copy(),
-                p2=from_json_dict(cert_d["p2"]).mat.copy(),
-                q=from_json_dict(cert_d["q"]).mat.copy(),
-            )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError) as exc:
         raise DimensionMismatchError(f"malformed functional object: {exc}") from exc
-    return SupportingFunctional(phi=phi, anchor=anchor, set_tag=tag, certificate=cert)
+    return SupportingFunctional(phi=phi, anchor=anchor, set_tag=tag)
+
+
+def supporting_dual(
+    phi: HermitianMatrix, anchor: HermitianMatrix, set_tag: str
+) -> np.ndarray:
+    """The dual point B of `dual_bound` that the paper's supporting form of φ names.
+
+    B is read off φ and its anchor alone, in the eigenbasis of anchor^Γ split
+    by `linalg.signed_eigenspaces`:
+
+    - "PPT": the PSD part of (1 - φ)^Γ compressed onto ker anchor^Γ. When
+      φ = 1 - Σ a_i (|φ_i⟩⟨φ_i|)^Γ over that kernel with a_i ≥ 0, B is
+      Σ a_i |φ_i⟩⟨φ_i|.
+    - "RAINS_T": P₊ - P₋ + Q, with P₊ and P₋ the projectors onto the positive
+      and negative eigenspaces of anchor^Γ and Q φ^Γ compressed onto its
+      kernel, with the spectrum clipped to [-1, 1]. When φ = (P₁ - P₂ + Q)^Γ,
+      B is that matrix.
+
+    Either B lies in the domain where `dual_bound` is valid, and φ has the
+    form exactly when `form_residual` at B is zero.
+    """
+    v, pos, neg, null = signed_eigenspaces(anchor.pt)
+    phi_pt = partial_transpose_array(phi.mat, phi.dims)
+    if set_tag == "PPT":
+        target, bounds = np.eye(phi.n) - phi_pt, (0.0, None)
+        b = np.zeros_like(phi_pt)
+    elif set_tag == "RAINS_T":
+        target, bounds = phi_pt, (-1.0, 1.0)
+        b = v[:, pos] @ v[:, pos].conj().T - v[:, neg] @ v[:, neg].conj().T
+    else:
+        raise PreconditionError(f"unknown set tag {set_tag!r}")
+    kernel = v[:, null]
+    if kernel.shape[1]:
+        comp = kernel.conj().T @ target @ kernel
+        w, u = np.linalg.eigh((comp + comp.conj().T) / 2)
+        u = kernel @ u
+        b = b + (u * np.clip(w, *bounds)) @ u.conj().T
+    return b
+
+
+def form_residual(phi: HermitianMatrix, set_tag: str, b: np.ndarray) -> float:
+    """Frobenius distance of φ from the form built on the dual point B.
+
+    The form is 1 - B^Γ on the PPT set and B^Γ on the Rains set.
+    """
+    b_pt = partial_transpose_array(b, phi.dims)
+    built = np.eye(phi.n) - b_pt if set_tag == "PPT" else b_pt
+    return float(np.linalg.norm(phi.mat - built))
 
 
 def dual_bound(
@@ -194,20 +196,14 @@ def is_boundary_of_P(sigma: HermitianMatrix, tol: float | None = None) -> bool:
     return float(w_pt[0]) <= tol
 
 
-def pt_zero_subspace(
-    sigma_star: HermitianMatrix, tol: float | None = None
-) -> np.ndarray:
-    """Columns spanning the zero eigenspace of σ*^Γ (`rel_tol` by default)."""
-    w, v = sigma_star.pt.spectrum
-    if tol is None:
-        tol = rel_tol(w)
-    return v[:, np.abs(w) <= tol]
+def pt_zero_subspace(sigma_star: HermitianMatrix) -> np.ndarray:
+    """Columns spanning the zero eigenspace of σ*^Γ (`linalg.signed_eigenspaces`)."""
+    v, _, _, null = signed_eigenspaces(sigma_star.pt)
+    return v[:, null]
 
 
 def ppt_functional(
-    sigma_star: HermitianMatrix,
-    coefficients: np.ndarray | None = None,
-    tol: float | None = None,
+    sigma_star: HermitianMatrix, coefficients: np.ndarray | None = None
 ) -> SupportingFunctional:
     """Supporting functional of the PPT set anchored at a boundary state.
 
@@ -215,9 +211,9 @@ def ppt_functional(
     coefficient vector rescaled so Tr[(P_σ* - φ)²] = 1. ``coefficients``
     defaults to all ones; only its direction matters.
     """
-    if not is_boundary_of_P(sigma_star, tol):
+    if not is_boundary_of_P(sigma_star):
         raise PreconditionError("anchor is not on the boundary of the PPT set")
-    vecs = pt_zero_subspace(sigma_star, tol)
+    vecs = pt_zero_subspace(sigma_star)
     m = vecs.shape[1]
     if coefficients is None:
         a = np.ones(m)
@@ -250,8 +246,7 @@ def ppt_functional(
         raise PreconditionError("normalization requires a positive rescaling")
 
     phi = hermitian(eye - c * w_h.mat, sigma_star.dims)
-    cert = PPTCertificate(coefficients=c * a, zero_eigenvectors=vecs.copy())
-    return SupportingFunctional(phi=phi, anchor=sigma_star, set_tag="PPT", certificate=cert)
+    return SupportingFunctional(phi=phi, anchor=sigma_star, set_tag="PPT")
 
 
 def random_boundary_state(dims: tuple[int, int], seed: int) -> HermitianMatrix:

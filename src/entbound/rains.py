@@ -24,13 +24,20 @@ from .linalg import (
     min_eigenvalue,
     random_state,
     rank_of,
-    rel_tol,
+    signed_eigenspaces,
     support_projector,
     trace_inner_product,
     trace_norm,
 )
 from .divergences import log_negativity
-from .ppt import RainsCertificate, SupportingFunctional, dual_bound, is_ppt
+from .ppt import (
+    FORM_TOL,
+    SupportingFunctional,
+    dual_bound,
+    form_residual,
+    is_ppt,
+    supporting_dual,
+)
 
 
 def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
@@ -40,32 +47,10 @@ def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
     return trace_norm(tau.pt) <= 1.0 + tol
 
 
-def _signed_eigenspaces(a: HermitianMatrix):
-    w, v = a.spectrum
-    tol = rel_tol(w)
-    pos = w > tol
-    neg = w < -tol
-    return v, pos, neg, ~(pos | neg)
-
-
-def _signed_projectors(a: HermitianMatrix, q: HermitianMatrix | None):
-    """P₊, P₋ and the nullspace block Q of P₊ - P₋ + Q for the Hermitian ``a``.
-
-    P₊ and P₋ project onto the positive and negative eigenspaces of a. Q
-    defaults to zero and must otherwise live on the nullspace of a with
-    spectral norm at most 1.
-    """
-    v, pos, neg, null = _signed_eigenspaces(a)
-    p_pos = v[:, pos] @ v[:, pos].conj().T
-    p_neg = v[:, neg] @ v[:, neg].conj().T
-    if q is None:
-        return p_pos, p_neg, np.zeros_like(p_pos)
-    pn = v[:, null] @ v[:, null].conj().T
-    if np.linalg.norm(pn @ q.mat @ pn - q.mat) > 1e-10:
-        raise PreconditionError("null block must be supported on the nullspace of the anchor")
-    if np.max(np.abs(q.spectrum.eigenvalues)) > 1.0 + 1e-10:
-        raise PreconditionError("null block must have spectral norm at most 1")
-    return p_pos, p_neg, q.mat
+def _signed_projectors(a: HermitianMatrix):
+    """P₊ and P₋, the projectors onto the positive and negative eigenspaces of ``a``."""
+    v, pos, neg, _ = signed_eigenspaces(a)
+    return v[:, pos] @ v[:, pos].conj().T, v[:, neg] @ v[:, neg].conj().T
 
 
 def ball_functional(
@@ -81,8 +66,16 @@ def ball_functional(
     """
     if abs(trace_norm(alpha) - 1.0) > 1e-9:
         raise PreconditionError("anchor not on the unit sphere of the trace norm")
-    p_pos, p_neg, q = _signed_projectors(alpha, null_part)
-    return hermitian(p_pos - p_neg + q, alpha.dims)
+    p_pos, p_neg = _signed_projectors(alpha)
+    omega = hermitian(p_pos - p_neg + (0.0 if null_part is None else null_part.mat), alpha.dims)
+    # The ball's form at alpha is the Rains form at an anchor whose partial
+    # transpose is alpha, read through Γ.
+    phi = omega.pt
+    if form_residual(phi, "RAINS_T", supporting_dual(phi, alpha.pt, "RAINS_T")) > FORM_TOL:
+        raise PreconditionError(
+            "null block must live on the nullspace of alpha with spectral norm at most 1"
+        )
+    return omega
 
 
 def rains_functional(
@@ -92,17 +85,17 @@ def rains_functional(
 
     P₁ and P₂ come from the spectral decomposition of τ*^Γ; Q defaults to
     zero on the nullspace (the canonical representative) and must satisfy
-    P₁Q = P₂Q = 0 with spectral norm at most one.
+    P₁Q = P₂Q = 0 with spectral norm at most one, which the
+    `SupportingFunctional` constructor checks.
     """
     if min_eigenvalue(tau_star) < -1e-10:
         raise NotPSDError("tau* must be PSD")
     tpt = tau_star.pt
     if abs(trace_norm(tpt) - 1.0) > 1e-9:
         raise PreconditionError("anchor must satisfy ||tau*^Gamma||_1 = 1")
-    p1, p2, q_mat = _signed_projectors(tpt, q)
-    phi = hermitian(p1 - p2 + q_mat, tau_star.dims).pt
-    cert = RainsCertificate(p1=p1.copy(), p2=p2.copy(), q=q_mat.copy())
-    return SupportingFunctional(phi=phi, anchor=tau_star, set_tag="RAINS_T", certificate=cert)
+    p1, p2 = _signed_projectors(tpt)
+    phi = hermitian(p1 - p2 + (0.0 if q is None else q.mat), tau_star.dims).pt
+    return SupportingFunctional(phi=phi, anchor=tau_star, set_tag="RAINS_T")
 
 
 def rains_converse(
@@ -143,21 +136,19 @@ class RainsMinCertificate:
 def verify_rains_min(
     rho: HermitianMatrix,
     tau_star: HermitianMatrix,
-    form_tol: float = 1e-7,
     dual_tol: float = 1e-8,
 ) -> RainsMinCertificate:
     """Check the Rains minimization criterion Tr[L_τ*(ρ) τ] ≤ 1 over T.
 
     Requires ρ on supp τ* (else `frechet.induced_functional` raises
     `SupportViolationError`) and ‖τ*^Γ‖₁ = 1; the induced functional
-    φ̂ = L_τ*(ρ) must match the projector-pair certificate form in the
-    eigenbasis of τ*^Γ (identity on the positive eigenspace, minus identity
-    on the negative one, a contraction on the nullspace, no cross terms).
-    The inequality itself is certified by the weak-duality bound
-    `ppt.dual_bound` on T at B = φ̂^Γ, which reads ‖φ̂^Γ‖_op;
-    ``max_violation``, that bound minus Tr[φ̂τ*], is a certified upper bound
-    on max over T of Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it is at most
-    ``dual_tol``.
+    φ̂ = L_τ*(ρ) must have the form (P₁ - P₂ + Q)^Γ at τ*: ``form_ok`` means
+    `ppt.form_residual` at B = `ppt.supporting_dual(φ̂, τ*, "RAINS_T")` is
+    at most FORM_TOL. The inequality itself is certified by the
+    weak-duality bound `ppt.dual_bound` on T, the smaller of its values at
+    that B and at B = φ̂^Γ (which reads ‖φ̂^Γ‖_op); ``max_violation``, that
+    bound minus Tr[φ̂τ*], is a certified upper bound on max over T of
+    Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it is at most ``dual_tol``.
     """
     if abs(rho.trace() - 1.0) > 1e-9 or min_eigenvalue(rho) < -1e-9:
         raise PreconditionError("rho must be a unit-trace PSD state")
@@ -167,25 +158,11 @@ def verify_rains_min(
     norm_ok = abs(trace_norm(tpt) - 1.0) <= 1e-8
     anchor_value = trace_inner_product(phi_hat, tau_star)
 
-    v, pos, neg, null = _signed_eigenspaces(tpt)
-    phi_hat_pt = phi_hat.pt
-    b = v.conj().T @ phi_hat_pt.mat @ v
-    form_ok = True
-    npos, nneg = int(pos.sum()), int(neg.sum())
-    if npos and np.linalg.norm(b[np.ix_(pos, pos)] - np.eye(npos)) > form_tol:
-        form_ok = False
-    if nneg and np.linalg.norm(b[np.ix_(neg, neg)] + np.eye(nneg)) > form_tol:
-        form_ok = False
-    for rows, cols in ((pos, neg), (pos, null), (neg, null)):
-        if rows.any() and cols.any() and np.linalg.norm(b[np.ix_(rows, cols)]) > form_tol:
-            form_ok = False
-    if null.any():
-        q_block = b[np.ix_(null, null)]
-        if np.max(np.abs(np.linalg.eigvalsh((q_block + q_block.conj().T) / 2))) > 1.0 + form_tol:
-            form_ok = False
-
+    b = supporting_dual(phi_hat, tau_star, "RAINS_T")
+    form_ok = form_residual(phi_hat, "RAINS_T", b) <= FORM_TOL
     max_violation = (
-        dual_bound(phi_hat.mat, tau_star.dims, "RAINS_T", phi_hat_pt.mat) - anchor_value
+        min(dual_bound(phi_hat.mat, tau_star.dims, "RAINS_T", d) for d in (b, phi_hat.pt.mat))
+        - anchor_value
     )
     dual_ok = max_violation <= dual_tol
 

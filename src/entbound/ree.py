@@ -27,15 +27,18 @@ from .linalg import (
     hermitian,
     min_eigenvalue,
     partial_transpose_array,
+    rank_of,
     to_json_dict,
     trace_inner_product,
 )
 from .ppt import (
+    FORM_TOL,
     SupportingFunctional,
     dual_bound,
+    form_residual,
     functional_from_json_dict,
     functional_to_json_dict,
-    pt_zero_subspace,
+    supporting_dual,
 )
 
 X_MAX_CAP = 1e6
@@ -161,7 +164,6 @@ class CpsCertificate:
     max_violation: float
     violator: HermitianMatrix | None
     form_matched: bool
-    form_coefficients: np.ndarray | None
     anchor_singular: bool
 
 
@@ -194,42 +196,30 @@ def verify_cps(
     """Check the minimization criterion Tr[φ̂σ] ≤ Tr[φ̂σ*] with φ̂ = L_σ*(ρ).
 
     The check is the weak-duality bound `ppt.dual_bound` on the PPT set at
-    B, the PSD part of (1 - φ̂)^Γ compressed onto the zero eigenspace of σ*^Γ
-    (zero when that space is empty), which is exact when φ̂ has the PPT
-    hyperplane form. ``max_violation``, that bound minus Tr[φ̂σ*], is
-    therefore a certified upper bound on max over PPT σ of Tr[φ̂σ] -
-    Tr[φ̂σ*], and PASS means it is at most ``tol``. On FAIL, ``violator`` is
-    the farthest PPT state on the segment from σ* toward the top eigenvector
-    of φ̂ + B^Γ, when that state violates by more than ``tol``.
-    ``form_matched`` reports the structural match (1 - φ̂ has a PSD partial
-    transpose supported on the zero eigenspace) for full-rank anchors. For a
-    singular anchor the criterion is sufficient only, and ρ must live on
-    supp σ* (else `frechet.induced_functional` raises
-    `SupportViolationError`).
+    B = `ppt.supporting_dual(φ̂, σ*, "PPT")`, the PSD part of (1 - φ̂)^Γ
+    compressed onto the zero eigenspace of σ*^Γ (zero when that space is
+    empty), which is exact when φ̂ has the PPT hyperplane form.
+    ``max_violation``, that bound minus Tr[φ̂σ*], is therefore a certified
+    upper bound on max over PPT σ of Tr[φ̂σ] - Tr[φ̂σ*], and PASS means it is
+    at most ``tol``. On FAIL, ``violator`` is the farthest PPT state on the
+    segment from σ* toward the top eigenvector of φ̂ + B^Γ, when that state
+    violates by more than ``tol``. ``form_matched`` reports that φ̂ has the
+    hyperplane form 1 - B^Γ (`ppt.form_residual` at most FORM_TOL) at a
+    full-rank anchor whose partial transpose is singular. For a singular
+    anchor the criterion is sufficient only, and ρ must live on supp σ*
+    (else `frechet.induced_functional` raises `SupportViolationError`).
     """
-    n = sigma_star.n
     kernel = build_kernel(log_fn(), sigma_star)
     anchor_singular = not kernel.mask.all()
     phi_hat = induced_functional(kernel, rho)
     anchor_value = trace_inner_product(phi_hat, sigma_star)
 
-    delta_pt = np.eye(n) - phi_hat.pt.mat
-    zero_vecs = pt_zero_subspace(sigma_star)
-    b = np.zeros((n, n), dtype=complex)
-    form_matched = False
-    form_coefficients = None
-    if zero_vecs.size:
-        comp = zero_vecs.conj().T @ delta_pt @ zero_vecs
-        w, v = np.linalg.eigh((comp + comp.conj().T) / 2)
-        u = zero_vecs @ v
-        b = (u * np.clip(w, 0.0, None)) @ u.conj().T
-        # Structural match against the PPT hyperplane form (full-rank anchors).
-        if not anchor_singular:
-            pz = zero_vecs @ zero_vecs.conj().T
-            supported = np.linalg.norm(pz @ delta_pt @ pz - delta_pt) <= 1e-7
-            if supported and np.linalg.eigvalsh(delta_pt)[0] >= -1e-9:
-                form_matched = True
-                form_coefficients = w
+    b = supporting_dual(phi_hat, sigma_star, "PPT")
+    form_matched = (
+        not anchor_singular
+        and rank_of(sigma_star.pt) < sigma_star.n
+        and form_residual(phi_hat, "PPT", b) <= FORM_TOL
+    )
 
     dims = sigma_star.dims
     max_violation = dual_bound(phi_hat.mat, dims, "PPT", b) - anchor_value
@@ -248,7 +238,6 @@ def verify_cps(
         max_violation=max_violation,
         violator=violator,
         form_matched=form_matched,
-        form_coefficients=form_coefficients,
         anchor_singular=anchor_singular,
     )
 

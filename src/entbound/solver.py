@@ -47,7 +47,8 @@ multiplier is a dual point, so every iterate brackets the maximum between a
 feasible value and a weak-duality bound, without a projection.
 
 Both solvers certify their results with one bound, `ppt.dual_bound`, each at
-a dual point of its own. `SolverConfig` holds only the two iteration caps;
+dual points of its own; a Rains solve's include the paper's supporting form
+P₊ - P₋ + Q at its result, `ppt.supporting_dual`. `SolverConfig` holds only the two iteration caps;
 the step and tolerance settings are the module constants STEP_INIT,
 ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's PROJ_FEAS,
 COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's NEWTON_AFTER,
@@ -70,7 +71,13 @@ from .linalg import (
 )
 from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
 from .frechet import ScalarFunction, divided_differences, log_fn, log_second_divided_differences
-from .ppt import SupportingFunctional, dual_bound, is_boundary_of_P, ppt_functional
+from .ppt import (
+    SupportingFunctional,
+    dual_bound,
+    is_boundary_of_P,
+    ppt_functional,
+    supporting_dual,
+)
 
 # minimize_ree reports CONVERGED only when its certified first-order gap is
 # at most this; by convexity the minimum then lies within it below the value.
@@ -521,9 +528,10 @@ def minimize_ree(
 
     ``cert_gap`` bounds the first-order gap, the maximum over the set of
     Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smallest `ppt.dual_bound` of φ̂
-    at B = 0, at B = λmax(φ̂^Γ)·1 - φ̂^Γ (PPT set) or B = φ̂^Γ (Rains set),
-    and at Newton's Π_PSD(Z) when Newton finished, minus Tr[φ̂σ̂], plus the
-    rounding of the value and the gap.
+    at B = 0, at B = λmax(φ̂^Γ)·1 - φ̂^Γ (PPT set) or at B = φ̂^Γ and the
+    paper's P₊ - P₋ + Q, `ppt.supporting_dual(φ̂, σ̂, "RAINS_T")` (Rains
+    set), and at Newton's Π_PSD(Z) when Newton finished, minus Tr[φ̂σ̂],
+    plus the rounding of the value and the gap.
     By convexity the minimum lies in [value - cert_gap, value] whenever σ̂ is
     feasible. CONVERGED means exactly that: σ̂ is feasible within TOL_FEAS
     and ``cert_gap`` is at most CERT_TOL.
@@ -564,7 +572,7 @@ def minimize_ree(
         # x moved exactly onto the set when it is feasible within TOL_FEAS
         # (else left as it is), its objective f, Tr[φ̂x] with φ̂ = L_x(ρ), the
         # first-order gap bounded by the smallest dual bound over ``duals``,
-        # the default dual point and B = 0, and whether x is feasible.
+        # the set's default dual points and B = 0, and whether x is feasible.
         shifted, residual = _shift_feasible(x, dims, set_tag)
         feasible = residual <= TOL_FEAS
         if feasible:
@@ -574,10 +582,10 @@ def minimize_ree(
         anchor = float(np.vdot(phi, x).real)
         phi_pt = partial_transpose_array(phi, dims)
         if set_tag == "PPT":
-            default = float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt
+            defaults = [float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt]
         else:
-            default = phi_pt
-        duals = [*duals, default, np.zeros_like(phi)]
+            defaults = [phi_pt, supporting_dual(hermitian(phi, dims), hermitian(x, dims), "RAINS_T")]
+        duals = [*duals, *defaults, np.zeros_like(phi)]
         gap = min(dual_bound(phi, dims, set_tag, b) for b in duals) - anchor
         return x, f, anchor, gap, feasible
 

@@ -24,6 +24,19 @@ def singlet_state() -> HermitianMatrix:
     return hermitian(np.outer(v, v), (2, 2))
 
 
+def antisymmetric_werner(d: int) -> HermitianMatrix:
+    """Uniform mixture over the antisymmetric subspace of d×d, rank d(d-1)/2."""
+    n = d * d
+    p = np.zeros((n, n))
+    for i in range(d):
+        for j in range(i + 1, d):
+            v = np.zeros(n)
+            v[i * d + j] = 2**-0.5
+            v[j * d + i] = -(2**-0.5)
+            p += np.outer(v, v)
+    return hermitian(p / np.trace(p), (d, d))
+
+
 def bell_cps_anchor() -> HermitianMatrix:
     """Closest PPT state of the Bell state: P/2 + (1-P)/6, full rank."""
     p = bell_state().mat

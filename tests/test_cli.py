@@ -3,9 +3,19 @@ import json
 import numpy as np
 import pytest
 
-from entbound import hermitian, to_json_dict
+from entbound import (
+    PreconditionError,
+    functional_from_json_dict,
+    hermitian,
+    ppt_functional,
+    random_boundary_state,
+    random_hermitian,
+    to_json_dict,
+    trace_inner_product,
+)
 from entbound.cli import main
-from conftest import bell_state
+from entbound.ppt import pt_zero_subspace
+from conftest import antisymmetric_werner, bell_state
 
 
 def write_matrix(path, matrix):
@@ -17,6 +27,27 @@ def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr().out
     return code, out
+
+
+def write_ppt_functional(path, phi, anchor):
+    """A PPT functional file with the ``certificate`` key that older files carry.
+
+    The certificate pairs coefficient 1 with each zero eigenvector of
+    anchor^Γ; readers ignore it.
+    """
+    vecs = pt_zero_subspace(anchor)
+    d = {
+        "phi": to_json_dict(phi),
+        "anchor": to_json_dict(anchor),
+        "set": "PPT",
+        "certificate": {
+            "a": [1.0] * vecs.shape[1],
+            "zero_eigenvectors_re": vecs.real.tolist(),
+            "zero_eigenvectors_im": vecs.imag.tolist(),
+        },
+    }
+    path.write_text(json.dumps(d))
+    return d
 
 
 class TestPipeline:
@@ -82,6 +113,40 @@ class TestPipeline:
         assert json.loads(out)["accepted"] is False
 
 
+class TestFunctionalInput:
+    def refused(self, tmp_path, capsys, phi, sigma):
+        d = write_ppt_functional(tmp_path / "phi.json", phi, sigma)
+        with pytest.raises(PreconditionError):
+            functional_from_json_dict(d)
+        write_matrix(tmp_path / "sigma.json", sigma)
+        code, out = run(
+            capsys, "ree", "family",
+            "--sigma-star", str(tmp_path / "sigma.json"), "--phi", str(tmp_path / "phi.json"),
+        )
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "PreconditionError"
+
+    def test_phi_off_the_supporting_form_exit_two(self, tmp_path, capsys):
+        # The shift keeps Tr[phi sigma*] = 1, so only the form check sees it.
+        sigma = random_boundary_state((2, 3), 4)
+        x = random_hermitian((2, 3), np.random.default_rng(0))
+        shift = x.mat - trace_inner_product(x, sigma) * np.eye(6)
+        phi = hermitian(ppt_functional(sigma).phi.mat + 0.05 * shift, (2, 3))
+        self.refused(tmp_path, capsys, phi, sigma)
+
+    def test_anchor_outside_the_ppt_set_exit_two(self, tmp_path, capsys):
+        # sigma* = Phi+/5 + 4 tau/5, with Phi+ on |00>, |11> and tau diagonal:
+        # sigma*^Gamma has eigenvalues -0.01 (on |01> - |10>) and 0 (on |02>),
+        # and phi = 1 - |02><02| has Tr[phi sigma*] = 1 and the hyperplane form.
+        psi = np.zeros(6)
+        psi[0] = psi[4] = 2**-0.5
+        tau = np.diag([0.25, 0.1125, 0.0, 0.1125, 0.25, 0.275])
+        sigma = hermitian(0.2 * np.outer(psi, psi) + 0.8 * tau, (2, 3))
+        assert np.linalg.eigvalsh(sigma.pt.mat)[:2] == pytest.approx([-0.01, 0.0], abs=1e-15)
+        phi = hermitian(np.eye(6) - np.diag(np.eye(6)[2]), (2, 3))
+        self.refused(tmp_path, capsys, phi, sigma)
+
+
 class TestCompare:
     def test_ppt_state_all_zero(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"
@@ -104,6 +169,16 @@ class TestCompare:
         assert d["solver"]["ree_cert_gap"] <= 1e-4
         assert d["solver"]["rains_cert_gap"] <= 1e-4
         assert "ree_residual" not in d["solver"] and "seed" not in d
+
+    def test_antisymmetric_werner_rains_below_ree(self, tmp_path, capsys):
+        # R = log(5/3) < E = log 2 on 3x3, both certified.
+        rho = tmp_path / "rho.json"
+        write_matrix(rho, antisymmetric_werner(3))
+        code, out = run(capsys, "compare", "--rho", str(rho))
+        assert code == 0
+        d = json.loads(out)
+        assert d["solver"]["ree_status"] == d["solver"]["rains_status"] == "CONVERGED"
+        assert d["gaps"]["ree_minus_rains"] == pytest.approx(np.log(6 / 5), abs=1e-9)
 
     def test_bits_flag(self, tmp_path, capsys):
         rho = tmp_path / "rho.json"

@@ -15,7 +15,7 @@ from entbound import (
     trace_inner_product,
 )
 from entbound.linalg import partial_transpose_array
-from entbound.ppt import dual_bound
+from entbound.ppt import dual_bound, pt_zero_subspace
 from samplers import sample_T, sample_ppt_states
 from conftest import bell_cps_anchor, bell_state
 
@@ -96,13 +96,14 @@ class TestPptFunctional:
 
     def test_coefficient_scale_invariance(self):
         sigma = random_boundary_state((2, 2), 3)
-        m = ppt_functional(sigma).certificate.zero_eigenvectors.shape[1]
+        m = pt_zero_subspace(sigma).shape[1]
         f1 = ppt_functional(sigma, np.ones(m))
         f7 = ppt_functional(sigma, 7.0 * np.ones(m))
         assert np.linalg.norm(f1.phi.mat - f7.phi.mat) < 1e-12
 
-    def test_two_eigendecompositions(self, monkeypatch):
-        # One for σ* and one for σ*^Γ: every later read hits the cached spectra.
+    def test_three_eigendecompositions(self, monkeypatch):
+        # One for σ*, one for σ*^Γ and one for the m×m kernel block of the
+        # form check: every later read hits the cached spectra.
         sigma = random_boundary_state((2, 3), 1)
         sigma = hermitian(sigma.mat, sigma.dims)
         calls = []
@@ -115,11 +116,11 @@ class TestPptFunctional:
 
             monkeypatch.setattr(np.linalg, name, counted)
         ppt_functional(sigma)
-        assert len(calls) == 2
+        assert len(calls) == 3
 
     def test_zero_coefficients_rejected(self):
         sigma = random_boundary_state((2, 2), 3)
-        m = ppt_functional(sigma).certificate.zero_eigenvectors.shape[1]
+        m = pt_zero_subspace(sigma).shape[1]
         with pytest.raises(PreconditionError):
             ppt_functional(sigma, np.zeros(m))
 
@@ -133,7 +134,7 @@ class TestPptFunctional:
         f2 = functional_from_json_dict(functional_to_json_dict(f))
         assert np.array_equal(f2.phi.mat, f.phi.mat)
         assert f2.set_tag == "PPT"
-        assert np.array_equal(f2.certificate.coefficients, f.certificate.coefficients)
+        assert np.array_equal(f2.anchor.mat, f.anchor.mat)
 
 
 class TestRandomBoundaryState:

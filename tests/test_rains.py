@@ -94,7 +94,8 @@ class TestRainsFunctional:
         rho = random_positive_state((2, 2), rng)
         tau = scaled_to_sphere(rho)
         f = rains_functional(tau)
-        assert np.allclose(f.certificate.q, 0.0)
+        w, v = np.linalg.eigh(tau.pt.mat)
+        assert np.linalg.norm(f.phi.pt.mat - (v * np.sign(w)) @ v.conj().T) < 1e-10
         with pytest.raises(PreconditionError):
             rains_functional(tau, q=hermitian(0.5 * np.eye(4), (2, 2)))
 

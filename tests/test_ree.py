@@ -19,6 +19,7 @@ from entbound import (
     random_state,
     relative_entropy,
     trace_inner_product,
+    supporting_dual,
     verify_cps,
 )
 from samplers import sample_ppt_states
@@ -134,8 +135,9 @@ class TestVerifyCps:
         cert = verify_cps(rho, bell_family.sigma_star)
         assert cert.passed
         assert cert.form_matched
-        assert cert.form_coefficients is not None
-        assert np.all(cert.form_coefficients >= -1e-9)
+        b = supporting_dual(cert.phi_hat, bell_family.sigma_star, "PPT")
+        # One zero eigenvector of σ*^Γ, with coefficient 1 after normalization.
+        assert np.linalg.eigvalsh(b) == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-9)
         assert is_boundary_of_P(bell_family.sigma_star)
 
     def test_bell_vs_maximally_mixed_fails(self):

@@ -20,6 +20,7 @@ from entbound import (
     build_family,
     ree_closed_form,
     trace_norm,
+    verify_rains_min,
 )
 from entbound import solver
 from entbound.solver import (
@@ -35,7 +36,7 @@ from entbound.solver import (
 )
 from entbound.frechet import build_kernel, frechet_apply, log_fn
 from entbound.linalg import partial_transpose_array, support_projector
-from conftest import bell_cps_anchor, bell_state
+from conftest import antisymmetric_werner, bell_cps_anchor, bell_state
 from samplers import sample_T, sample_ppt_states
 
 
@@ -237,6 +238,31 @@ class TestMinimizeRee:
 
 def _family(anchor):
     return build_family(anchor, ppt_functional(anchor))
+
+
+@pytest.fixture(scope="module", params=[3, 4])
+def werner_solves(request):
+    d = request.param
+    rho = antisymmetric_werner(d)
+    ep = minimize_ree(rho, "PPT")
+    return d, rho, ep, minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
+
+
+class TestAntisymmetricWerner:
+    """The standard case of R < E, where only P₊ - P₋ + Q certifies the Rains solve."""
+
+    def test_ree_is_one_ebit(self, werner_solves):
+        # Audenaert et al., PRL 87, 217902 (2001).
+        _, _, ep, _ = werner_solves
+        assert ep.status == "CONVERGED"
+        assert abs(ep.value - np.log(2)) <= 1e-9
+
+    def test_rains_is_certified_at_its_closed_form(self, werner_solves):
+        # Rains, IEEE Trans. Inf. Theory 47, 2921 (2001): R = log((d + 2)/d).
+        d, rho, _, rb = werner_solves
+        assert rb.status == "CONVERGED"
+        assert abs(rb.value - np.log((d + 2) / d)) <= 1e-9
+        assert verify_rains_min(rho, rb.sigma_hat).dual_ok
 
 
 class TestStatus:
