@@ -59,18 +59,20 @@ from .divergences import (
     von_neumann_entropy,
 )
 from .ppt import (
+    MinimalityCertificate,
     SupportingFunctional,
     functional_from_json_dict,
     functional_to_json_dict,
     is_boundary_of_P,
+    is_in_T,
     is_ppt,
     ppt_functional,
     random_boundary_state,
     supporting_dual,
+    verify_minimum,
 )
 from .ree import (
     AdditivityReport,
-    CpsCertificate,
     StateFamily,
     additivity_check,
     build_family,
@@ -82,9 +84,7 @@ from .ree import (
 from .rains import (
     QubitEqualityReport,
     RainsLnReport,
-    RainsMinCertificate,
     ball_functional,
-    is_in_T,
     qubit_equality_audit,
     rains_closed_form,
     rains_converse,

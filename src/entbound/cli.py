@@ -29,15 +29,15 @@ from .divergences import (
     sandwiched_renyi,
 )
 from .frechet import neg_log_fn
-from .ppt import functional_from_json_dict, functional_to_json_dict, ppt_functional, random_boundary_state
-from .ree import build_family, family_to_json_dict, ree_closed_form, verify_cps
-from .rains import (
-    qubit_equality_audit,
-    rains_closed_form,
-    rains_converse,
-    rains_functional,
-    verify_rains_min,
+from .ppt import (
+    functional_from_json_dict,
+    functional_to_json_dict,
+    ppt_functional,
+    random_boundary_state,
+    verify_minimum,
 )
+from .ree import build_family, family_to_json_dict, ree_closed_form
+from .rains import qubit_equality_audit, rains_closed_form, rains_converse, rains_functional
 from .solver import maximize_linear, minimize_ree
 
 
@@ -108,16 +108,17 @@ def _cmd_ree_family(args) -> int:
     return 0
 
 
-def _cmd_ree_verify(args) -> int:
-    rho = _load_matrix(args.rho)
-    sigma = _load_matrix(args.sigma_star)
-    cert = verify_cps(rho, sigma, tol=args.tol)
+def _cmd_verify(args) -> int:
+    cert = verify_minimum(
+        _load_matrix(args.rho), _load_matrix(args.anchor), args.set_tag, args.tol
+    )
     _emit(
         {
             "passed": cert.passed,
+            "in_set": cert.in_set,
             "anchor_value": cert.anchor_value,
             "max_violation": cert.max_violation,
-            "form_matched": cert.form_matched,
+            "form_ok": cert.form_ok,
             "anchor_singular": cert.anchor_singular,
             "phi_hat": to_json_dict(cert.phi_hat),
         },
@@ -143,24 +144,6 @@ def _cmd_rains_converse(args) -> int:
         payload["rho"] = to_json_dict(res.rho)
     _emit(payload, args.out)
     return 0 if res.accepted else 1
-
-
-def _cmd_rains_verify(args) -> int:
-    rho = _load_matrix(args.rho)
-    tau = _load_matrix(args.tau_star)
-    cert = verify_rains_min(rho, tau, dual_tol=args.tol)
-    _emit(
-        {
-            "passed": cert.passed,
-            "norm_ok": cert.norm_ok,
-            "form_ok": cert.form_ok,
-            "dual_ok": cert.dual_ok,
-            "anchor_value": cert.anchor_value,
-            "max_violation": cert.max_violation,
-        },
-        args.out,
-    )
-    return 0 if cert.passed else 1
 
 
 def _cmd_rains_closed_form(args) -> int:
@@ -295,18 +278,22 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p, bits=True)
     p.set_defaults(fn=_cmd_ree_family)
 
+    def add_verify(p, anchor_flag, set_tag):
+        p.add_argument("--rho", required=True)
+        p.add_argument(anchor_flag, dest="anchor", required=True)
+        p.add_argument(
+            "--tol",
+            type=float,
+            default=1e-8,
+            help="PASS needs the anchor in the set and max_violation at most this; "
+            "max_violation is the smallest dual bound on max Tr[phi_hat sigma] over "
+            "the set, minus Tr[phi_hat anchor]",
+        )
+        add_common(p)
+        p.set_defaults(fn=_cmd_verify, set_tag=set_tag)
+
     p = ree_sub.add_parser("verify", help="check that sigma* minimizes for rho")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--sigma-star", required=True)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-8,
-        help="PASS bound on max_violation, the certified gap "
-        "lambda_max(phi_hat + B^Gamma) - Tr[phi_hat sigma*]",
-    )
-    add_common(p)
-    p.set_defaults(fn=_cmd_ree_verify)
+    add_verify(p, "--sigma-star", "PPT")
 
     rains = sub.add_parser("rains", help="Rains-set functionals, converse, verification")
     rains_sub = rains.add_subparsers(dest="rains_command", required=True)
@@ -324,17 +311,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_rains_converse)
 
     p = rains_sub.add_parser("verify", help="check the Rains minimization criterion")
-    p.add_argument("--rho", required=True)
-    p.add_argument("--tau-star", required=True)
-    p.add_argument(
-        "--tol",
-        type=float,
-        default=1e-8,
-        help="dual_ok bound on max_violation, the certified gap "
-        "||phi_hat^Gamma||_op - Tr[phi_hat tau*]",
-    )
-    add_common(p)
-    p.set_defaults(fn=_cmd_rains_verify)
+    add_verify(p, "--tau-star", "RAINS_T")
 
     p = rains_sub.add_parser("closed-form", help="closed-form Rains bound")
     p.add_argument("--tau-star", required=True)

@@ -1,4 +1,4 @@
-"""The convex set of PPT states: membership, boundary, supporting functionals.
+"""The PPT set and the Rains set: membership, supporting functionals, minimality.
 
 A state σ* on the boundary of the PPT set (its partial transpose has a zero
 eigenvector) supports hyperplanes of the form
@@ -13,8 +13,10 @@ On the Rains set the form is (P₁ - P₂ + Q)^Γ (see `entbound.rains`). On
 either set the form is a dual point B of the weak-duality bound
 `dual_bound`, read off φ and its anchor by `supporting_dual`, and φ has the
 form exactly when B rebuilds it (`form_residual`). Whether a given φ attains
-its maximum over the set at a point is decided by `dual_bound`, which every
-certificate in the package evaluates at its own dual point.
+its maximum over the set at a point is decided by `dual_bound`:
+`certified_max` takes its smallest value over one fixed set of dual points
+per set, and it certifies both the forward solver's results and
+`verify_minimum`, the paper's minimality test for S(ρ‖·).
 """
 
 from __future__ import annotations
@@ -24,11 +26,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatchError, NotPSDError, PreconditionError
+from .frechet import build_kernel, induced_functional, log_fn
 from .linalg import (
     HermitianMatrix,
     from_json_dict,
     hermitian,
     is_psd,
+    min_eigenvalue,
     partial_transpose_array,
     random_state,
     rel_tol,
@@ -36,6 +40,7 @@ from .linalg import (
     support_projector,
     to_json_dict,
     trace_inner_product,
+    trace_norm,
 )
 
 
@@ -173,6 +178,35 @@ def dual_bound(
     raise PreconditionError(f"unknown set tag {set_tag!r}")
 
 
+def certified_max(
+    phi: HermitianMatrix, anchor: HermitianMatrix, set_tag: str, extra=()
+) -> tuple[float, np.ndarray]:
+    """Certified upper bound on max Tr[φσ] over the PPT set or the Rains set.
+
+    The bound is the smallest `dual_bound` of φ over one fixed set of dual
+    points; minus Tr[φ·anchor] it bounds the first-order gap at the anchor:
+
+    - the paper's B = `supporting_dual(φ, anchor, set_tag)`, exact when φ
+      has the set's supporting form at the anchor;
+    - the set's default point, λmax(φ^Γ)·1 - φ^Γ on the PPT set (where the
+      bound reads λmax(φ^Γ)) and φ^Γ on the Rains set (‖φ^Γ‖_op);
+    - B = 0;
+    - the points in ``extra``, which the caller builds in the valid domain.
+
+    Returns the bound and the paper's B.
+    """
+    b = supporting_dual(phi, anchor, set_tag)
+    phi_pt = partial_transpose_array(phi.mat, phi.dims)
+    if set_tag == "PPT":
+        default = float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(phi.n) - phi_pt
+    else:
+        default = phi_pt
+    bound = min(
+        dual_bound(phi.mat, phi.dims, set_tag, d) for d in (b, default, np.zeros_like(b), *extra)
+    )
+    return bound, b
+
+
 def is_ppt(sigma: HermitianMatrix, tol: float | None = None) -> bool:
     """True iff the partial transpose of the state is PSD within ``tol``."""
     w = sigma.spectrum.eigenvalues
@@ -184,6 +218,103 @@ def is_ppt(sigma: HermitianMatrix, tol: float | None = None) -> bool:
     if tol is None:
         tol = rel_tol(w_pt)
     return float(w_pt[0]) >= -tol
+
+
+def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
+    """Membership in the Rains set T: PSD within tol and ‖τ^Γ‖₁ ≤ 1 + tol."""
+    if min_eigenvalue(tau) < -tol:
+        return False
+    return trace_norm(tau.pt) <= 1.0 + tol
+
+
+@dataclass(frozen=True)
+class MinimalityCertificate:
+    """Outcome of `verify_minimum`: does the anchor minimize S(ρ‖·) over its set?"""
+
+    passed: bool
+    in_set: bool
+    phi_hat: HermitianMatrix
+    anchor_value: float
+    max_violation: float
+    form_ok: bool
+    anchor_singular: bool
+    violator: HermitianMatrix | None = None
+
+
+def _farthest_ppt_on_segment(
+    sigma_star: HermitianMatrix, target: np.ndarray
+) -> HermitianMatrix:
+    """Last PPT state on the segment from σ* toward the state ``target``.
+
+    The PPT states on a segment from a PPT start form an interval, so
+    bisection on the smallest partial-transpose eigenvalue finds its far end.
+    """
+    dims = sigma_star.dims
+    a = sigma_star.pt.mat
+    b = partial_transpose_array(target, dims)
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = (lo + hi) / 2
+        if float(np.linalg.eigvalsh((1.0 - mid) * a + mid * b)[0]) >= 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return hermitian((1.0 - lo) * sigma_star.mat + lo * target, dims)
+
+
+def verify_minimum(
+    rho: HermitianMatrix, anchor: HermitianMatrix, set_tag: str, tol: float = 1e-8
+) -> MinimalityCertificate:
+    """Check that ``anchor`` minimizes S(ρ‖·) over the PPT set or the Rains set.
+
+    By the paper's converse theorem it does exactly when the induced
+    functional φ̂ = L_anchor(ρ) supports the set at the anchor:
+    Tr[φ̂σ] ≤ Tr[φ̂·anchor] over the set (for a singular anchor the test is
+    sufficient only). ``max_violation`` is `certified_max(φ̂, anchor,
+    set_tag)` minus Tr[φ̂·anchor], a certified upper bound on the largest
+    violation. PASS means that the anchor lies in the set (``in_set``, by
+    `is_ppt`'s rule on the PPT set and `is_in_T`'s on the Rains set) and
+    ``max_violation`` is at most ``tol``. ``form_ok`` reports
+    that φ̂ has the set's supporting form at the anchor (`form_residual` at
+    the paper's dual point at most FORM_TOL); it never gates PASS, since the
+    φ̂ of a singular anchor is masked off its support and generally lacks the
+    form. ρ must be a state, and on a singular anchor it must live on the
+    support (else `frechet.induced_functional` raises
+    `SupportViolationError`). When the PPT test fails at an anchor in the
+    set, ``violator`` is the farthest PPT state on the segment from the
+    anchor toward the top eigenvector of φ̂ + B^Γ, with B the paper's dual
+    point, if that state violates by more than ``tol``.
+    """
+    if abs(rho.trace() - 1.0) > 1e-9 or min_eigenvalue(rho) < -1e-9:
+        raise PreconditionError("rho must be a unit-trace PSD state")
+    kernel = build_kernel(log_fn(), anchor)
+    phi_hat = induced_functional(kernel, rho)
+    anchor_value = trace_inner_product(phi_hat, anchor)
+    bound, b = certified_max(phi_hat, anchor, set_tag)
+    max_violation = bound - anchor_value
+    # Membership is reported, never raised: a non-state lies outside the PPT set.
+    try:
+        inside = is_in_T(anchor) if set_tag == "RAINS_T" else is_ppt(anchor)
+    except (NotPSDError, PreconditionError):
+        inside = False
+    passed = inside and max_violation <= tol
+
+    violator = None
+    if set_tag == "PPT" and inside and not passed:
+        top = np.linalg.eigh(phi_hat.mat + partial_transpose_array(b, anchor.dims))[1][:, -1]
+        candidate = _farthest_ppt_on_segment(anchor, np.outer(top, top.conj()))
+        if trace_inner_product(phi_hat, candidate) - anchor_value > tol:
+            violator = candidate
+    return MinimalityCertificate(
+        passed=passed,
+        in_set=inside,
+        phi_hat=phi_hat,
+        anchor_value=anchor_value,
+        max_violation=max_violation,
+        form_ok=form_residual(phi_hat, set_tag, b) <= FORM_TOL,
+        anchor_singular=not kernel.mask.all(),
+        violator=violator,
+    )
 
 
 def is_boundary_of_P(sigma: HermitianMatrix, tol: float | None = None) -> bool:

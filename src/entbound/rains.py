@@ -17,7 +17,7 @@ import numpy as np
 
 from .errors import NotPSDError, PreconditionError, SupportViolationError
 from .criteria import ConverseOutcome, _log_closed_form, general_converse
-from .frechet import build_kernel, induced_functional, log_fn
+from .frechet import log_fn
 from .linalg import (
     HermitianMatrix,
     hermitian,
@@ -26,25 +26,18 @@ from .linalg import (
     rank_of,
     signed_eigenspaces,
     support_projector,
-    trace_inner_product,
     trace_norm,
 )
 from .divergences import log_negativity
 from .ppt import (
     FORM_TOL,
+    MinimalityCertificate,
     SupportingFunctional,
-    dual_bound,
     form_residual,
     is_ppt,
     supporting_dual,
+    verify_minimum,
 )
-
-
-def is_in_T(tau: HermitianMatrix, tol: float = 1e-10) -> bool:
-    """Membership in T: PSD within tol and ‖τ^Γ‖₁ ≤ 1 + tol."""
-    if min_eigenvalue(tau) < -tol:
-        return False
-    return trace_norm(tau.pt) <= 1.0 + tol
 
 
 def _signed_projectors(a: HermitianMatrix):
@@ -120,61 +113,13 @@ def rains_converse(
     return out
 
 
-@dataclass(frozen=True)
-class RainsMinCertificate:
-    """Outcome of checking that τ* minimizes the Rains bound for ρ."""
-
-    passed: bool
-    norm_ok: bool
-    form_ok: bool
-    dual_ok: bool
-    phi_hat: HermitianMatrix
-    anchor_value: float
-    max_violation: float
-
-
 def verify_rains_min(
     rho: HermitianMatrix,
     tau_star: HermitianMatrix,
-    dual_tol: float = 1e-8,
-) -> RainsMinCertificate:
-    """Check the Rains minimization criterion Tr[L_τ*(ρ) τ] ≤ 1 over T.
-
-    Requires ρ on supp τ* (else `frechet.induced_functional` raises
-    `SupportViolationError`) and ‖τ*^Γ‖₁ = 1; the induced functional
-    φ̂ = L_τ*(ρ) must have the form (P₁ - P₂ + Q)^Γ at τ*: ``form_ok`` means
-    `ppt.form_residual` at B = `ppt.supporting_dual(φ̂, τ*, "RAINS_T")` is
-    at most FORM_TOL. The inequality itself is certified by the
-    weak-duality bound `ppt.dual_bound` on T, the smaller of its values at
-    that B and at B = φ̂^Γ (which reads ‖φ̂^Γ‖_op); ``max_violation``, that
-    bound minus Tr[φ̂τ*], is a certified upper bound on max over T of
-    Tr[φ̂τ] - Tr[φ̂τ*], and ``dual_ok`` means it is at most ``dual_tol``.
-    """
-    if abs(rho.trace() - 1.0) > 1e-9 or min_eigenvalue(rho) < -1e-9:
-        raise PreconditionError("rho must be a unit-trace PSD state")
-    phi_hat = induced_functional(build_kernel(log_fn(), tau_star), rho)
-
-    tpt = tau_star.pt
-    norm_ok = abs(trace_norm(tpt) - 1.0) <= 1e-8
-    anchor_value = trace_inner_product(phi_hat, tau_star)
-
-    b = supporting_dual(phi_hat, tau_star, "RAINS_T")
-    form_ok = form_residual(phi_hat, "RAINS_T", b) <= FORM_TOL
-    max_violation = (
-        min(dual_bound(phi_hat.mat, tau_star.dims, "RAINS_T", d) for d in (b, phi_hat.pt.mat))
-        - anchor_value
-    )
-    dual_ok = max_violation <= dual_tol
-
-    return RainsMinCertificate(
-        passed=bool(norm_ok and form_ok and dual_ok),
-        norm_ok=bool(norm_ok),
-        form_ok=bool(form_ok),
-        dual_ok=bool(dual_ok),
-        phi_hat=phi_hat,
-        anchor_value=anchor_value,
-        max_violation=max_violation,
-    )
+    tol: float = 1e-8,
+) -> MinimalityCertificate:
+    """Check that τ* minimizes the Rains bound for ρ: `ppt.verify_minimum` on T."""
+    return verify_minimum(rho, tau_star, "RAINS_T", tol)
 
 
 def rains_closed_form(

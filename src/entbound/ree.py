@@ -20,25 +20,14 @@ import numpy as np
 
 from .errors import PreconditionError
 from .criteria import _log_closed_form
-from .frechet import build_kernel, converse_image, induced_functional, log_fn
-from .linalg import (
-    HermitianMatrix,
-    frobenius_norm,
-    hermitian,
-    min_eigenvalue,
-    partial_transpose_array,
-    rank_of,
-    to_json_dict,
-    trace_inner_product,
-)
+from .frechet import build_kernel, converse_image, log_fn
+from .linalg import HermitianMatrix, frobenius_norm, hermitian, min_eigenvalue, to_json_dict
 from .ppt import (
-    FORM_TOL,
+    MinimalityCertificate,
     SupportingFunctional,
-    dual_bound,
-    form_residual,
     functional_from_json_dict,
     functional_to_json_dict,
-    supporting_dual,
+    verify_minimum,
 )
 
 X_MAX_CAP = 1e6
@@ -154,92 +143,13 @@ def ree_closed_form(family: StateFamily, x: float) -> float:
     return _log_closed_form(rho_x, phi_x, family.sigma_star)
 
 
-@dataclass(frozen=True)
-class CpsCertificate:
-    """Outcome of checking that σ* minimizes relative entropy for ρ."""
-
-    passed: bool
-    phi_hat: HermitianMatrix
-    anchor_value: float
-    max_violation: float
-    violator: HermitianMatrix | None
-    form_matched: bool
-    anchor_singular: bool
-
-
-def _farthest_ppt_on_segment(
-    sigma_star: HermitianMatrix, target: np.ndarray
-) -> HermitianMatrix:
-    """Last PPT state on the segment from σ* toward the state ``target``.
-
-    The PPT states on a segment from a PPT start form an interval, so
-    bisection on the smallest partial-transpose eigenvalue finds its far end.
-    """
-    dims = sigma_star.dims
-    a = sigma_star.pt.mat
-    b = partial_transpose_array(target, dims)
-    lo, hi = 0.0, 1.0
-    for _ in range(60):
-        mid = (lo + hi) / 2
-        if float(np.linalg.eigvalsh((1.0 - mid) * a + mid * b)[0]) >= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return hermitian((1.0 - lo) * sigma_star.mat + lo * target, dims)
-
-
 def verify_cps(
     rho: HermitianMatrix,
     sigma_star: HermitianMatrix,
     tol: float = 1e-8,
-) -> CpsCertificate:
-    """Check the minimization criterion Tr[φ̂σ] ≤ Tr[φ̂σ*] with φ̂ = L_σ*(ρ).
-
-    The check is the weak-duality bound `ppt.dual_bound` on the PPT set at
-    B = `ppt.supporting_dual(φ̂, σ*, "PPT")`, the PSD part of (1 - φ̂)^Γ
-    compressed onto the zero eigenspace of σ*^Γ (zero when that space is
-    empty), which is exact when φ̂ has the PPT hyperplane form.
-    ``max_violation``, that bound minus Tr[φ̂σ*], is therefore a certified
-    upper bound on max over PPT σ of Tr[φ̂σ] - Tr[φ̂σ*], and PASS means it is
-    at most ``tol``. On FAIL, ``violator`` is the farthest PPT state on the
-    segment from σ* toward the top eigenvector of φ̂ + B^Γ, when that state
-    violates by more than ``tol``. ``form_matched`` reports that φ̂ has the
-    hyperplane form 1 - B^Γ (`ppt.form_residual` at most FORM_TOL) at a
-    full-rank anchor whose partial transpose is singular. For a singular
-    anchor the criterion is sufficient only, and ρ must live on supp σ*
-    (else `frechet.induced_functional` raises `SupportViolationError`).
-    """
-    kernel = build_kernel(log_fn(), sigma_star)
-    anchor_singular = not kernel.mask.all()
-    phi_hat = induced_functional(kernel, rho)
-    anchor_value = trace_inner_product(phi_hat, sigma_star)
-
-    b = supporting_dual(phi_hat, sigma_star, "PPT")
-    form_matched = (
-        not anchor_singular
-        and rank_of(sigma_star.pt) < sigma_star.n
-        and form_residual(phi_hat, "PPT", b) <= FORM_TOL
-    )
-
-    dims = sigma_star.dims
-    max_violation = dual_bound(phi_hat.mat, dims, "PPT", b) - anchor_value
-    passed = max_violation <= tol
-
-    violator = None
-    if not passed:
-        top = np.linalg.eigh(phi_hat.mat + partial_transpose_array(b, dims))[1][:, -1]
-        candidate = _farthest_ppt_on_segment(sigma_star, np.outer(top, top.conj()))
-        if trace_inner_product(phi_hat, candidate) - anchor_value > tol:
-            violator = candidate
-    return CpsCertificate(
-        passed=passed,
-        phi_hat=phi_hat,
-        anchor_value=anchor_value,
-        max_violation=max_violation,
-        violator=violator,
-        form_matched=form_matched,
-        anchor_singular=anchor_singular,
-    )
+) -> MinimalityCertificate:
+    """Check that σ* is the closest PPT state to ρ: `ppt.verify_minimum` on the PPT set."""
+    return verify_minimum(rho, sigma_star, "PPT", tol)
 
 
 @dataclass(frozen=True)

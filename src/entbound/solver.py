@@ -46,13 +46,15 @@ X in the PSD cone and Y in the trace-norm unit ball (Rains set). Its scaled
 multiplier is a dual point, so every iterate brackets the maximum between a
 feasible value and a weak-duality bound, without a projection.
 
-Both solvers certify their results with one bound, `ppt.dual_bound`, each at
-dual points of its own; a Rains solve's include the paper's supporting form
-P₊ - P₋ + Q at its result, `ppt.supporting_dual`. `SolverConfig` holds only the two iteration caps;
-the step and tolerance settings are the module constants STEP_INIT,
-ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's PROJ_FEAS,
-COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's NEWTON_AFTER,
-NEWTON_STEPS and NEWTON_TOL.
+Both solvers certify their results with one bound, `ppt.dual_bound`.
+``minimize_ree`` takes it at the dual points `ppt.certified_max` fixes per
+set, the same that `ppt.verify_minimum` uses (among them the paper's
+supporting form at the result, `ppt.supporting_dual`), plus Newton's
+Π_PSD(Z); ``maximize_linear`` at its ADMM multiplier. `SolverConfig` holds
+only the two iteration caps; the step and tolerance settings are the module
+constants STEP_INIT, ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's
+PROJ_FEAS, COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's
+NEWTON_AFTER, NEWTON_STEPS and NEWTON_TOL.
 """
 
 from __future__ import annotations
@@ -73,10 +75,10 @@ from .divergences import SUPPORT_ATOL, _trace_xlogx, relative_entropy
 from .frechet import ScalarFunction, divided_differences, log_fn, log_second_divided_differences
 from .ppt import (
     SupportingFunctional,
+    certified_max,
     dual_bound,
     is_boundary_of_P,
     ppt_functional,
-    supporting_dual,
 )
 
 # minimize_ree reports CONVERGED only when its certified first-order gap is
@@ -527,11 +529,12 @@ def minimize_ree(
     out is returned as it is.
 
     ``cert_gap`` bounds the first-order gap, the maximum over the set of
-    Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is the smallest `ppt.dual_bound` of φ̂
-    at B = 0, at B = λmax(φ̂^Γ)·1 - φ̂^Γ (PPT set) or at B = φ̂^Γ and the
-    paper's P₊ - P₋ + Q, `ppt.supporting_dual(φ̂, σ̂, "RAINS_T")` (Rains
-    set), and at Newton's Π_PSD(Z) when Newton finished, minus Tr[φ̂σ̂],
-    plus the rounding of the value and the gap.
+    Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is `ppt.certified_max(φ̂, σ̂)`, the
+    smallest `ppt.dual_bound` of φ̂ over the set's fixed dual points (the
+    paper's `ppt.supporting_dual(φ̂, σ̂)`, the set's default point and
+    B = 0) and Newton's Π_PSD(Z) when Newton finished, minus Tr[φ̂σ̂], plus
+    the rounding of the value and the gap. `ppt.verify_minimum` applies the
+    same test, with its own φ̂, to any anchor.
     By convexity the minimum lies in [value - cert_gap, value] whenever σ̂ is
     feasible. CONVERGED means exactly that: σ̂ is feasible within TOL_FEAS
     and ``cert_gap`` is at most CERT_TOL.
@@ -571,8 +574,8 @@ def minimize_ree(
     def certify(x, duals):
         # x moved exactly onto the set when it is feasible within TOL_FEAS
         # (else left as it is), its objective f, Tr[φ̂x] with φ̂ = L_x(ρ), the
-        # first-order gap bounded by the smallest dual bound over ``duals``,
-        # the set's default dual points and B = 0, and whether x is feasible.
+        # first-order gap, `certified_max` with ``duals`` as its extra points
+        # minus Tr[φ̂x], and whether x is feasible.
         shifted, residual = _shift_feasible(x, dims, set_tag)
         feasible = residual <= TOL_FEAS
         if feasible:
@@ -580,13 +583,7 @@ def minimize_ree(
         f, cache = evaluate(x)
         phi = -gradient(cache)
         anchor = float(np.vdot(phi, x).real)
-        phi_pt = partial_transpose_array(phi, dims)
-        if set_tag == "PPT":
-            defaults = [float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(n) - phi_pt]
-        else:
-            defaults = [phi_pt, supporting_dual(hermitian(phi, dims), hermitian(x, dims), "RAINS_T")]
-        duals = [*duals, *defaults, np.zeros_like(phi)]
-        gap = min(dual_bound(phi, dims, set_tag, b) for b in duals) - anchor
+        gap = certified_max(hermitian(phi, dims), hermitian(x, dims), set_tag, duals)[0] - anchor
         return x, f, anchor, gap, feasible
 
     # Any feasible point upper-bounds the minimum: the pool is compared again

@@ -91,7 +91,7 @@ class TestPipeline:
         code, out = run(capsys, "rains", "verify", "--rho", str(rho), "--tau-star", str(tau))
         assert code == 0
         payload = json.loads(out)
-        assert payload["passed"] is True and payload["dual_ok"] is True
+        assert payload["passed"] is True and payload["in_set"] is True
         assert "seed" not in payload and "samples" not in payload
         code, out = run(
             capsys,
@@ -100,6 +100,31 @@ class TestPipeline:
         )
         assert code == 0
         assert json.loads(out)["rains"] == pytest.approx(np.log(2), abs=1e-9)
+
+    def test_verify_refuses_an_anchor_outside_its_set(self, tmp_path, capsys):
+        # An NPT state is its own minimizer of S(rho||.) over all states, so its
+        # first-order gap is zero; only membership shows it is not its own
+        # closest PPT (or Rains-set) state.
+        rng = np.random.default_rng(1)
+        a = rng.normal(size=(9, 9)) + 1j * rng.normal(size=(9, 9))
+        rho = tmp_path / "rho.json"
+        write_matrix(rho, hermitian(a @ a.conj().T / np.trace(a @ a.conj().T).real, (3, 3)))
+        payloads = []
+        for argv in (
+            ("ree", "verify", "--rho", str(rho), "--sigma-star", str(rho)),
+            ("rains", "verify", "--rho", str(rho), "--tau-star", str(rho)),
+        ):
+            code, out = run(capsys, *argv)
+            payload = json.loads(out)
+            assert code == 1
+            assert payload["passed"] is False and payload["in_set"] is False
+            assert payload["max_violation"] <= 1e-8
+            payloads.append(payload)
+        # One schema for both verifiers.
+        assert set(payloads[0]) == set(payloads[1]) == {
+            "version", "passed", "in_set", "anchor_value", "max_violation",
+            "form_ok", "anchor_singular", "phi_hat",
+        }
 
     def test_rains_converse_refusal_exit_one(self, tmp_path, capsys):
         tau = tmp_path / "tau.json"

@@ -189,8 +189,10 @@ class TestRainsConverse:
 class TestVerifyRainsMin:
     def test_scaled_anchor_fails_norm(self):
         tau = hermitian(bell_state().mat / 2, (2, 2))
+        # 0.9·Φ⁺/2 lies inside T, off its boundary, and the gap shows it.
         cert = verify_rains_min(bell_state(), hermitian(0.9 * tau.mat, (2, 2)))
-        assert not cert.norm_ok
+        assert cert.in_set
+        assert cert.max_violation == pytest.approx(1 / 9, abs=1e-9)
         assert not cert.passed
 
     def test_state_off_the_anchor_support_raises(self):
@@ -209,7 +211,7 @@ class TestVerifyRainsMin:
     def test_bell_pass(self):
         tau = hermitian(bell_state().mat / 2, (2, 2))
         cert = verify_rains_min(bell_state(), tau)
-        assert cert.passed and cert.norm_ok and cert.form_ok and cert.dual_ok
+        assert cert.passed and cert.in_set and cert.form_ok
 
     def test_certificate_bounds_sampled_battery(self):
         # Weak duality: the certified max_violation bounds the violation of

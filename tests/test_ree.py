@@ -134,7 +134,7 @@ class TestVerifyCps:
         rho = bell_family.state(1.0)
         cert = verify_cps(rho, bell_family.sigma_star)
         assert cert.passed
-        assert cert.form_matched
+        assert cert.form_ok
         b = supporting_dual(cert.phi_hat, bell_family.sigma_star, "PPT")
         # One zero eigenvector of σ*^Γ, with coefficient 1 after normalization.
         assert np.linalg.eigvalsh(b) == pytest.approx([0.0, 0.0, 0.0, 1.0], abs=1e-9)
@@ -184,6 +184,17 @@ class TestVerifyCps:
                 vals = np.einsum("ij,kji->k", cert.phi_hat.mat, batch).real
                 assert cert.max_violation >= float(np.max(vals)) - cert.anchor_value - 1e-12
                 assert cert.passed == supporting
+
+    def test_npt_state_is_not_its_own_closest_ppt_state(self):
+        # φ̂ = L_ρ(ρ) = 1 has zero gap at ρ; only membership refuses it.
+        gen = np.random.default_rng(5)
+        rho = random_state((3, 3), gen)
+        while is_ppt(rho):
+            rho = random_state((3, 3), gen)
+        cert = verify_cps(rho, rho)
+        assert not cert.in_set and not cert.passed
+        assert cert.max_violation <= 1e-10
+        assert cert.violator is None
 
     def test_support_violation(self):
         ket = np.zeros(4)

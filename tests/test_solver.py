@@ -20,6 +20,7 @@ from entbound import (
     build_family,
     ree_closed_form,
     trace_norm,
+    verify_cps,
     verify_rains_min,
 )
 from entbound import solver
@@ -262,7 +263,7 @@ class TestAntisymmetricWerner:
         d, rho, _, rb = werner_solves
         assert rb.status == "CONVERGED"
         assert abs(rb.value - np.log((d + 2) / d)) <= 1e-9
-        assert verify_rains_min(rho, rb.sigma_hat).dual_ok
+        assert verify_rains_min(rho, rb.sigma_hat).passed
 
 
 class TestStatus:
@@ -351,6 +352,29 @@ def npt_draws(dims, count):
         if not is_ppt(rho):
             draws.append(rho)
     return draws
+
+
+class TestVerifiersAgreeWithTheSolver:
+    """One PASS rule: the public verifiers label every result as the solver does."""
+
+    @staticmethod
+    def check(rho, ep, rb):
+        cps = verify_cps(rho, ep.sigma_hat, tol=CERT_TOL)
+        assert cps.passed == (ep.status == "CONVERGED")
+        if cps.passed and not cps.anchor_singular:
+            assert cps.max_violation <= 1e-10
+        rains = verify_rains_min(rho, rb.sigma_hat, tol=CERT_TOL)
+        assert rains.passed == (rb.status == "CONVERGED")
+
+    @pytest.mark.parametrize("dims", SHAPES)
+    def test_npt_ginibre_draws(self, dims):
+        for rho in npt_draws(dims, 10):
+            ep = minimize_ree(rho, "PPT")
+            self.check(rho, ep, minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat]))
+
+    def test_antisymmetric_werner(self, werner_solves):
+        _, rho, ep, rb = werner_solves
+        self.check(rho, ep, rb)
 
 
 class TestNewton:
