@@ -193,17 +193,24 @@ def certified_max(
     - B = 0;
     - the points in ``extra``, which the caller builds in the valid domain.
 
+    The default point and B = 0 take their bounds in closed form, bit for bit
+    the values `dual_bound` computes there. The partial transpose permutes
+    entries exactly, so on the PPT set φ + B^Γ at the default point is
+    exactly diagonal, and on the Rains set φ - B^Γ is exactly 0 there (μ = 0)
+    and φ at B = 0 (the bound is μ = max(0, λmax φ)).
+
     Returns the bound and the paper's B.
     """
     b = supporting_dual(phi, anchor, set_tag)
     phi_pt = partial_transpose_array(phi.mat, phi.dims)
+    w_pt = np.linalg.eigvalsh(phi_pt)
+    lam = float(np.linalg.eigvalsh(phi.mat)[-1])
     if set_tag == "PPT":
-        default = float(np.linalg.eigvalsh(phi_pt)[-1]) * np.eye(phi.n) - phi_pt
+        diagonal = np.diagonal(phi.mat) + (float(w_pt[-1]) - np.diagonal(phi_pt))
+        fixed = (float(np.max(diagonal.real)), lam)
     else:
-        default = phi_pt
-    bound = min(
-        dual_bound(phi.mat, phi.dims, set_tag, d) for d in (b, default, np.zeros_like(b), *extra)
-    )
+        fixed = (float(np.max(np.abs(w_pt))), max(0.0, lam))
+    bound = min(*fixed, *(dual_bound(phi.mat, phi.dims, set_tag, d) for d in (b, *extra)))
     return bound, b
 
 

@@ -60,6 +60,7 @@ NEWTON_AFTER, NEWTON_STEPS and NEWTON_TOL.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -326,13 +327,15 @@ def _shift_feasible(
     return x, residual
 
 
+@lru_cache(maxsize=None)
 def _hermitian_basis(n: int) -> np.ndarray:
     """Orthonormal basis of the n×n Hermitian matrices, shape (n², n, n).
 
     Diagonal units first, then (E_ij + E_ji)/√2 and i(E_ij - E_ji)/√2 for
-    i < j; `_coords` reads coordinates in this basis.
+    i < j; `_coords` reads coordinates in this basis. Built once per n and
+    read-only, since every caller shares it.
     """
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _triu(n)
     m = iu.size
     basis = np.zeros((n * n, n, n), dtype=complex)
     basis[np.arange(n), np.arange(n), np.arange(n)] = 1.0
@@ -340,17 +343,36 @@ def _hermitian_basis(n: int) -> np.ndarray:
     basis[sym, iu, ju] = basis[sym, ju, iu] = 1.0 / np.sqrt(2.0)
     basis[skew, iu, ju] = 1j / np.sqrt(2.0)
     basis[skew, ju, iu] = -1j / np.sqrt(2.0)
+    basis.flags.writeable = False
     return basis
+
+
+@lru_cache(maxsize=None)
+def _triu(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Row and column indices of the strict upper triangle of n×n, read-only."""
+    iu, ju = np.triu_indices(n, 1)
+    iu.flags.writeable = ju.flags.writeable = False
+    return iu, ju
 
 
 def _coords(x: np.ndarray) -> np.ndarray:
     """Real coordinates of Hermitian matrices (..., n, n) in `_hermitian_basis`."""
-    n = x.shape[-1]
-    iu, ju = np.triu_indices(n, 1)
+    iu, ju = _triu(x.shape[-1])
     off = np.sqrt(2.0) * x[..., iu, ju]
     return np.concatenate(
         [np.diagonal(x, axis1=-2, axis2=-1).real, off.real, off.imag], axis=-1
     )
+
+
+def _sandwich(a: np.ndarray, e: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """(a·E_k)·b for every matrix E_k of the stack e, shape (m, n, n), in two gemms.
+
+    a·E_k is one (n, n) × (n, m·n) product on the stack laid side by side,
+    and (a·E_k)·b one (m·n, n) × (n, n) product on the stack laid end to end.
+    """
+    m, n = e.shape[0], e.shape[-1]
+    ae = (a @ e.transpose(1, 0, 2).reshape(n, m * n)).reshape(n, m, n).transpose(1, 0, 2)
+    return (ae.reshape(m * n, n) @ b).reshape(m, n, n)
 
 
 def _spectral(rho: np.ndarray, x: np.ndarray) -> tuple:
@@ -395,31 +417,38 @@ def _ppt_newton_step(
     over W's eigenvalues, an element of the generalized Jacobian of Π_PSD.
     The partial transpose is an involutive isometry, so the first equation
     gives dZ = (-f1 - D²log(σ)[ρ, dσ])^Γ, and the second becomes a real
-    n² × n² system in dσ, assembled by applying it to every matrix of
-    `_hermitian_basis` at once and reading the images' coordinates.
+    n² × n² system in dσ. Its matrix holds the coordinates of the images of
+    the n² matrices of `_hermitian_basis`, computed on the whole stack by
+    matmuls: each change of basis is one gemm per side (`_sandwich`), and
+    the sum over k in D²log is a batched matmul over j for the ρ_ik term and
+    over i for the ρ_kj term.
     """
     w, v, r, u_w, u = parts
     n = w.size
     t2 = log_second_divided_differences(w)
-    left, right = t2 * r[:, :, None], t2 * r[None, :, :]
+    # left[j] = (t2[i, k, j] ρ_ik)_ik and right[i] = (t2[i, k, j] ρ_kj)_kj.
+    left = (t2 * r[:, :, None]).transpose(2, 0, 1)
+    right = t2 * r[None, :, :]
     t_plus = divided_differences(RELU, u_w)
+    vh, uh = v.conj().T, u.conj().T
 
     def pt(x):
         return partial_transpose_array(x, dims)
 
     def d2log(e):
-        e = v.conj().T @ e @ v
-        d = np.einsum("ikj,...kj->...ij", left, e) + np.einsum("ikj,...ik->...ij", right, e)
-        return v @ d @ v.conj().T
+        e = _sandwich(vh, e, v)
+        by_j = left @ e.transpose(2, 1, 0)  # (j, i, m) for the stack index m
+        by_i = e.transpose(1, 0, 2) @ right  # (i, m, j)
+        return _sandwich(v, by_j.transpose(2, 1, 0) + by_i.transpose(1, 0, 2), vh)
 
     def dproj(x):
-        return u @ (t_plus * (u.conj().T @ x @ u)) @ u.conj().T
+        return _sandwich(u, t_plus * _sandwich(uh, x, u), uh)
 
     basis = _hermitian_basis(n)
     a = _coords(pt(basis) - dproj(pt(basis + d2log(basis)))).T
-    rhs = _coords(dproj(pt(f1)) - f2)
+    rhs = _coords(dproj(pt(f1[None]))[0] - f2)
     d_sigma = np.tensordot(np.linalg.solve(a, rhs), basis, axes=1)
-    return d_sigma, pt(-f1 - d2log(d_sigma))
+    return d_sigma, pt(-f1 - d2log(d_sigma[None])[0])
 
 
 def _newton_ppt(

@@ -28,6 +28,8 @@ from entbound.solver import (
     CERT_TOL,
     NEWTON_AFTER,
     PROJ_FEAS,
+    _coords,
+    _hermitian_basis,
     _ppt_newton_step,
     _ppt_residual,
     _project,
@@ -401,7 +403,7 @@ class TestNewton:
             assert res.newton_steps > 0
             assert np.linalg.eigvalsh(res.sigma_hat.pt.mat)[0] >= -1e-15
 
-    @pytest.mark.parametrize("dims", [(2, 2), (2, 3)])
+    @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
     def test_step_solves_the_linearized_system(self, dims):
         # J(dσ, dZ) = -(f1, f2) for arbitrary right-hand sides, with J checked
         # by central differences of the residual F along (dσ, dZ).
@@ -418,6 +420,14 @@ class TestNewton:
         for k, f in enumerate((f1, f2)):
             fd = (plus[k] - minus[k]) / (2 * h)
             assert np.linalg.norm(fd + f) <= 1e-6 * np.linalg.norm(f)
+
+    def test_cached_basis_is_read_only(self):
+        # Every Newton step of order n shares one basis; a write would corrupt them all.
+        basis = _hermitian_basis(6)
+        assert _hermitian_basis(6) is basis
+        assert np.array_equal(_coords(basis), np.eye(36))
+        with pytest.raises(ValueError):
+            basis[0, 0, 0] = 2.0
 
     def test_declined_newton_leaves_the_spg_result(self, monkeypatch):
         # A rank-1 state has a rank-deficient minimizer, outside the domain of
