@@ -179,7 +179,7 @@ def dual_bound(
 
 
 def certified_max(
-    phi: HermitianMatrix, anchor: HermitianMatrix, set_tag: str, extra=()
+    phi: HermitianMatrix, anchor: HermitianMatrix, set_tag: str
 ) -> tuple[float, np.ndarray]:
     """Certified upper bound on max Tr[φσ] over the PPT set or the Rains set.
 
@@ -190,8 +190,7 @@ def certified_max(
       has the set's supporting form at the anchor;
     - the set's default point, λmax(φ^Γ)·1 - φ^Γ on the PPT set (where the
       bound reads λmax(φ^Γ)) and φ^Γ on the Rains set (‖φ^Γ‖_op);
-    - B = 0;
-    - the points in ``extra``, which the caller builds in the valid domain.
+    - B = 0.
 
     The default point and B = 0 take their bounds in closed form, bit for bit
     the values `dual_bound` computes there. The partial transpose permutes
@@ -210,7 +209,7 @@ def certified_max(
         fixed = (float(np.max(diagonal.real)), lam)
     else:
         fixed = (float(np.max(np.abs(w_pt))), max(0.0, lam))
-    bound = min(*fixed, *(dual_bound(phi.mat, phi.dims, set_tag, d) for d in (b, *extra)))
+    bound = min(*fixed, dual_bound(phi.mat, phi.dims, set_tag, b))
     return bound, b
 
 

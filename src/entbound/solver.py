@@ -7,7 +7,7 @@ dual of the Frobenius projection (Malick, SIAM J. Matrix Anal. Appl. 26, 272
 (x^Γ ⪰ 0 for the PPT set, x ⪰ 0 for the Rains set), around the closed-form
 projection onto the rest (the unit-trace PSD set, or the partial-transpose
 trace-norm ball). The relative-entropy objective runs the monotone spectral
-projected gradient method (Birgin, Martínez & Raydan, SIAM J. Optim. 10, 1196
+projected gradient method (SPG; Birgin, Martínez & Raydan, SIAM J. Optim. 10, 1196
 (2000)): each iteration projects one Barzilai-Borwein step along -L_σ(ρ) and
 then backtracks (Armijo) along the segment from σ to that projection. Every
 point of the segment is feasible by convexity, so a trial step costs one
@@ -21,22 +21,20 @@ t·g = B^Γ - μ·1 + Z (PPT set; the Rains set alike), with every multiplier in
 a cone, so the optimal multipliers are proportional to t, and the
 Barzilai-Borwein step changes by orders of magnitude between iterations.
 
-Over the PPT set SPG only opens the solve. After NEWTON_AFTER iterations,
-semismooth Newton takes over on the optimality system of the paper's
-converse theorem: σ minimizes S(ρ‖·) over P iff L_σ(ρ) = 1 - Z^Γ for some
-Z ⪰ 0 with Z·σ^Γ = 0, the complementarity written as the natural-map
-equation σ^Γ = Π_PSD(σ^Γ - Z) (Sun & Sun, Math. Oper. Res. 27, 150 (2002);
-Zinchenko, Friedland & Gour, Phys. Rev. A 82, 052336 (2010) solve the REE
-from the same conditions). It starts at the SPG iterate with Z the warm
-multiplier B over its step t: at a fixed point with σ full rank the
-projection's conditions read t·g = B^Γ - t·1, so B/t is the paper's Z. Its
-point is kept only when the certificate the result reports, with Π_PSD(Z)
-among its dual points, finds it feasible and within GAP_STOP of optimal.
-Otherwise SPG goes on unchanged, and Newton gets one more attempt where SPG
-stops. Rank-deficient minimizers are outside the domain of log, so there
-Newton declines and SPG's result stands. The Rains set stays on SPG. Every
-solve starts at the best feasible member of its candidate pool, and the
-library's Rains solves put the REE minimizer in it.
+Semismooth Newton finishes the solve on the optimality system of the
+paper's converse theorem, one equation in σ alone for both sets: σ
+minimizes S(ρ‖·) iff φ̂ = L_σ(ρ) has the set's supporting form at σ, which
+is the natural-map equation F(σ) = σ^Γ - prox(σ^Γ + φ̂^Γ) = 0 of the set's
+prox (`_newton`; Zinchenko, Friedland & Gour, Phys. Rev. A 82, 052336
+(2010) solve the REE from the same conditions). Its first attempt comes at
+once from a warm start, and after NEWTON_AFTER iterations from the
+maximally mixed state. Its point is kept only when the certificate the
+result reports finds it feasible and within GAP_STOP of optimal. Otherwise
+SPG goes on unchanged, and Newton gets one more attempt where SPG stops.
+Rank-deficient minimizers are outside the domain of log, so there Newton
+declines and SPG's result stands. Every solve starts at the best feasible
+member of its candidate pool, and the library's Rains solves put the REE
+minimizer in it.
 
 Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
@@ -49,12 +47,12 @@ feasible value and a weak-duality bound, without a projection.
 Both solvers certify their results with one bound, `ppt.dual_bound`.
 ``minimize_ree`` takes it at the dual points `ppt.certified_max` fixes per
 set, the same that `ppt.verify_minimum` uses (among them the paper's
-supporting form at the result, `ppt.supporting_dual`), plus Newton's
-Π_PSD(Z); ``maximize_linear`` at its ADMM multiplier. `SolverConfig` holds
-only the two iteration caps; the step and tolerance settings are the module
-constants STEP_INIT, ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's
-PROJ_FEAS, COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's
-NEWTON_AFTER, NEWTON_STEPS and NEWTON_TOL.
+supporting form at the result, `ppt.supporting_dual`); ``maximize_linear``
+at its ADMM multiplier. `SolverConfig` holds only the two iteration caps;
+the step and tolerance settings are the module constants STEP_INIT,
+ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's PROJ_FEAS,
+COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's NEWTON_AFTER,
+NEWTON_STEPS and NEWTON_TOL.
 """
 
 from __future__ import annotations
@@ -111,15 +109,13 @@ COLD_COMPLEMENTARITY = 1e-14
 # output that moved at most this since the last inner iteration is accepted:
 # a decade below TOL_GRAD, the smallest solver step that does not end a solve.
 PROJ_STATIONARY = 1e-10
-# minimize_ree over the PPT set tries semismooth Newton once after this many
-# SPG iterations and once more when SPG stops, each attempt at most
-# NEWTON_STEPS steps; Newton stops early once ‖F‖ is at most NEWTON_TOL.
+# minimize_ree tries semismooth Newton at a warm start or after this many SPG
+# iterations from 1/n, and once more when SPG stops, each attempt at most
+# NEWTON_STEPS steps (from the third SPG iterate its first steps may be
+# damped); Newton stops early once ‖F‖ is at most NEWTON_TOL.
 NEWTON_AFTER = 3
-NEWTON_STEPS = 12
+NEWTON_STEPS = 20
 NEWTON_TOL = 1e-13
-# max(·, 0), whose divided differences give DΠ_PSD; clustered eigenvalues
-# take the one-sided derivative, 1 above 0 and 0 below.
-RELU = ScalarFunction("relu", -np.inf, np.inf, lambda x: np.maximum(x, 0.0), lambda x: x > 0.0)
 
 
 @dataclass(frozen=True)
@@ -386,42 +382,49 @@ def _log_derivative(w: np.ndarray, v: np.ndarray, r: np.ndarray) -> np.ndarray:
     return v @ (divided_differences(log_fn(), w) * r) @ v.conj().T
 
 
-def _ppt_residual(
-    point: tuple, z: np.ndarray, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, tuple] | None:
-    """F1 = L_σ(ρ) - 1 + Z^Γ and F2 = σ^Γ - Π_PSD(σ^Γ - Z), with their spectra.
+def _prox(set_tag: str) -> ScalarFunction:
+    """The set's prox on eigenvalues, x - clip(x, lo, 1): max(x - 1, 0) on the
+    PPT set (lo = -∞), the soft threshold at 1 on the Rains set (lo = -1).
 
-    ``point`` is `_spectral(ρ, σ)`; its spectra and W = σ^Γ - Z =
-    U diag(u_w) U† are what `_ppt_newton_step` linearizes at. None unless
-    σ is positive definite, the domain of log.
+    Clustered eigenvalues take the one-sided derivative, 1 past a threshold.
+    """
+    lo = -np.inf if set_tag == "PPT" else -1.0
+    fn = lambda x: x - np.clip(x, lo, 1.0)
+    return ScalarFunction(f"prox_{set_tag}", -np.inf, np.inf, fn, lambda x: (x > 1.0) | (x < lo))
+
+
+def _residual(
+    point: tuple, dims: tuple[int, int], prox: ScalarFunction
+) -> tuple[np.ndarray, tuple] | None:
+    """F(σ) = σ^Γ - prox(W) with W = σ^Γ + L_σ(ρ)^Γ, and the spectra behind it.
+
+    ``point`` is `_spectral(ρ, σ)`; its spectrum and W = U diag(u_w) U† are
+    what `_newton_step` linearizes at. None unless σ is positive definite,
+    the domain of log.
     """
     sigma, w, v, r = point
     if w[0] <= 0.0:
         return None
-    f1 = _log_derivative(w, v, r) - np.eye(w.size) + partial_transpose_array(z, dims)
     s_pt = partial_transpose_array(sigma, dims)
-    u_w, u = np.linalg.eigh(s_pt - z)
-    f2 = s_pt - (u * np.maximum(u_w, 0.0)) @ u.conj().T
-    return f1, f2, (w, v, r, u_w, u)
+    u_w, u = np.linalg.eigh(s_pt + partial_transpose_array(_log_derivative(w, v, r), dims))
+    return s_pt - (u * prox(u_w)) @ u.conj().T, (w, v, r, u_w, u)
 
 
-def _ppt_newton_step(
-    parts: tuple, f1: np.ndarray, f2: np.ndarray, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """Solve J(dσ, dZ) = -(f1, f2) for the Jacobian J of `_ppt_residual`.
+def _newton_step(
+    parts: tuple, f: np.ndarray, dims: tuple[int, int], prox: ScalarFunction
+) -> np.ndarray:
+    """Solve J[dσ] = -F for the Jacobian J of `_residual`.
 
-    J(dσ, dZ) = (D²log(σ)[ρ, dσ] + dZ^Γ, dσ^Γ - DΠ(W)[dσ^Γ - dZ]), where
+    J[dσ] = dσ^Γ - Dprox(W)[dσ^Γ + D²log(σ)[ρ, dσ]^Γ], where
     D²log(σ)[ρ, E]_ij = Σ_k log[w_i, w_k, w_j](ρ_ik E_kj + E_ik ρ_kj) in σ's
     eigenbasis (Daleckii-Krein, second divided differences of log) and
-    DΠ(W)[E] = U (T₊ ∘ U†EU) U† with T₊ the divided differences of max(·, 0)
-    over W's eigenvalues, an element of the generalized Jacobian of Π_PSD.
-    The partial transpose is an involutive isometry, so the first equation
-    gives dZ = (-f1 - D²log(σ)[ρ, dσ])^Γ, and the second becomes a real
-    n² × n² system in dσ. Its matrix holds the coordinates of the images of
-    the n² matrices of `_hermitian_basis`, computed on the whole stack by
-    matmuls: each change of basis is one gemm per side (`_sandwich`), and
-    the sum over k in D²log is a batched matmul over j for the ρ_ik term and
-    over i for the ρ_kj term.
+    Dprox(W)[E] = U (T ∘ U†EU) U† with T the divided differences of the
+    set's prox over W's eigenvalues, an element of the generalized Jacobian
+    of the matrix prox. J is a real n² × n² system. Its matrix holds the
+    coordinates of the images of the n² matrices of `_hermitian_basis`,
+    computed on the whole stack by matmuls: each change of basis is one gemm
+    per side (`_sandwich`), and the sum over k in D²log is a batched matmul
+    over j for the ρ_ik term and over i for the ρ_kj term.
     """
     w, v, r, u_w, u = parts
     n = w.size
@@ -429,7 +432,7 @@ def _ppt_newton_step(
     # left[j] = (t2[i, k, j] ρ_ik)_ik and right[i] = (t2[i, k, j] ρ_kj)_kj.
     left = (t2 * r[:, :, None]).transpose(2, 0, 1)
     right = t2 * r[None, :, :]
-    t_plus = divided_differences(RELU, u_w)
+    t_prox = divided_differences(prox, u_w)
     vh, uh = v.conj().T, u.conj().T
 
     def pt(x):
@@ -441,60 +444,53 @@ def _ppt_newton_step(
         by_i = e.transpose(1, 0, 2) @ right  # (i, m, j)
         return _sandwich(v, by_j.transpose(2, 1, 0) + by_i.transpose(1, 0, 2), vh)
 
-    def dproj(x):
-        return _sandwich(u, t_plus * _sandwich(uh, x, u), uh)
-
     basis = _hermitian_basis(n)
-    a = _coords(pt(basis) - dproj(pt(basis + d2log(basis)))).T
-    rhs = _coords(dproj(pt(f1[None]))[0] - f2)
-    d_sigma = np.tensordot(np.linalg.solve(a, rhs), basis, axes=1)
-    return d_sigma, pt(-f1 - d2log(d_sigma[None])[0])
+    a = _coords(pt(basis) - _sandwich(u, t_prox * _sandwich(uh, pt(basis + d2log(basis)), u), uh)).T
+    return np.tensordot(np.linalg.solve(a, -_coords(f)), basis, axes=1)
 
 
-def _newton_ppt(
-    rho: np.ndarray, point: tuple, z: np.ndarray, dims: tuple[int, int]
-) -> tuple[np.ndarray, np.ndarray, int] | None:
-    """Semismooth Newton on the optimality system of the REE over the PPT set.
+def _newton(
+    rho: np.ndarray, point: tuple, dims: tuple[int, int], prox: ScalarFunction
+) -> tuple[np.ndarray, int] | None:
+    """Semismooth Newton on the optimality system of the REE over the PPT or Rains set.
 
-    For full-rank σ, σ minimizes S(ρ‖·) over the PPT set iff some Z ⪰ 0 has
-    F1 = L_σ(ρ) - 1 + Z^Γ = 0 and Z·σ^Γ = 0 with σ^Γ ⪰ 0; the complementarity
-    is the natural-map equation F2 = σ^Γ - Π_PSD(σ^Γ - Z) = 0 (Sun & Sun,
-    Math. Oper. Res. 27, 150 (2002)). Tr σ = 1 follows: Tr[σ L_σ(ρ)] = 1.
+    For full-rank σ, σ minimizes S(ρ‖·) over its set iff φ̂ = L_σ(ρ) has the
+    set's supporting form: 1 - Z^Γ with Z ⪰ 0, Z·σ^Γ = 0 on the PPT set, and
+    (P₊ - P₋ + Q)^Γ on the Rains set (P± on the signed eigenspaces of σ^Γ,
+    ‖Q‖_op ≤ 1 on its kernel). Either is the natural-map equation
+    F(σ) = σ^Γ - prox(σ^Γ + φ̂^Γ) = 0 of `_prox`, the prox of Tr x + [x ⪰ 0]
+    or of ‖x‖₁ (Sun & Sun, Math. Oper. Res. 27, 150 (2002)); Tr[σφ̂] = 1
+    then gives Tr σ = 1, or ‖σ^Γ‖₁ = 1.
 
     ``point`` is `_spectral(ρ, σ)` at the start. Each step solves the
-    linearization (`_ppt_newton_step`) and backtracks until ‖F‖ decreases
-    with σ positive definite. The loop stops at NEWTON_TOL, after
-    NEWTON_STEPS steps, or when no step decreases ‖F‖.
-    Returns σ, Z and the number of steps taken, or None when the start is
-    not positive definite or the linear system is singular.
+    linearization (`_newton_step`) and backtracks until ‖F‖ decreases with σ
+    positive definite. The loop stops at NEWTON_TOL, after NEWTON_STEPS
+    steps, or when no step decreases ‖F‖. Returns σ and the number of steps
+    taken, or None when the start is not positive definite or the linear
+    system is singular.
     """
-
-    def norm(out):
-        return float(np.hypot(np.linalg.norm(out[0]), np.linalg.norm(out[1])))
-
-    out = _ppt_residual(point, z, dims)
+    out = _residual(point, dims, prox)
     if out is None:
         return None
-    size = norm(out)
+    size = float(np.linalg.norm(out[0]))
     steps = 0
     try:
         while steps < NEWTON_STEPS and size > NEWTON_TOL:
-            f1, f2, parts = out
-            d_sigma, d_z = _ppt_newton_step(parts, f1, f2, dims)
+            d_sigma = _newton_step(out[1], out[0], dims, prox)
             alpha = 1.0
             while alpha >= 1e-4:
                 trial_point = _spectral(rho, point[0] + alpha * d_sigma)
-                trial = _ppt_residual(trial_point, z + alpha * d_z, dims)
-                if trial is not None and norm(trial) <= (1.0 - 1e-4 * alpha) * size:
+                trial = _residual(trial_point, dims, prox)
+                if trial is not None and np.linalg.norm(trial[0]) <= (1.0 - 1e-4 * alpha) * size:
                     break
                 alpha *= 0.5
             else:
                 break
-            point, z, out, size = trial_point, z + alpha * d_z, trial, norm(trial)
+            point, out, size = trial_point, trial, float(np.linalg.norm(trial[0]))
             steps += 1
     except np.linalg.LinAlgError:  # a singular system, or a step to non-finite entries
         return None
-    return point[0], z, steps
+    return point[0], steps
 
 
 @dataclass(frozen=True)
@@ -502,7 +498,7 @@ class SolveResult:
     sigma_hat: HermitianMatrix
     value: float
     status: str  # "CONVERGED" | "NONCONVERGED"
-    iterations: int
+    iterations: int  # SPG iterations; 0 when Newton certifies a warm start
     cert_gap: float
     objective_trace: list = field(default_factory=list)
     projection_iters: int = 0  # inner projection iterations, summed over the solve
@@ -519,8 +515,8 @@ def minimize_ree(
 ) -> SolveResult:
     """Minimize S(ρ‖σ) over the PPT set ("PPT") or the Rains set ("RAINS_T").
 
-    Spectral projected gradient, finished by semismooth Newton over the PPT
-    set. The candidate pool is the maximally mixed state, the
+    Spectral projected gradient, finished by semismooth Newton. The
+    candidate pool is the maximally mixed state, the
     ``extra_candidates`` and, for the Rains set, ρ/‖ρ^Γ‖₁; every solve
     starts from its lowest-objective member that is feasible within
     TOL_FEAS. (P ⊂ T, so the REE minimizer passed as a candidate is a
@@ -542,15 +538,15 @@ def minimize_ree(
     projections that ran out of ``config.projection_iters``, and
     ``backtracks`` counts the rejected Armijo trials.
 
-    Over the PPT set, `_newton_ppt` runs after NEWTON_AFTER iterations from
-    the iterate and Z = (warm multiplier)/t, and once more where SPG stops,
-    never more than twice and never before NEWTON_AFTER iterations. Its
-    point replaces the iterate and ends the solve only when the result's own
-    certificate (below, with Π_PSD(Z) among its dual points) finds it
-    feasible within TOL_FEAS with a gap of at most GAP_STOP; the accepted
-    point is returned with that certificate, as computed. A declined attempt
-    leaves the solve exactly as SPG alone runs it. ``newton_steps`` counts
-    the steps of the accepted attempt (0 when SPG alone finished).
+    `_newton` runs at once from a warm start (any pool member but the
+    maximally mixed state), and after NEWTON_AFTER iterations from the
+    maximally mixed state; it runs once more where SPG stops, if SPG moved.
+    Its point replaces the iterate and ends the solve only when the result's
+    own certificate (below) finds it feasible within TOL_FEAS with a gap of
+    at most GAP_STOP; the accepted point is returned with that certificate,
+    as computed. A declined attempt leaves the solve exactly as SPG alone
+    runs it. ``newton_steps`` counts the steps of the accepted attempt, and
+    ``iterations`` is 0 when Newton certifies a warm start.
 
     One step certifies every result. A result feasible within TOL_FEAS is
     shifted exactly onto the set by `_shift_feasible` before its value is
@@ -561,9 +557,8 @@ def minimize_ree(
     Tr[φ̂(σ - σ̂)] with φ̂ = L_σ̂(ρ): it is `ppt.certified_max(φ̂, σ̂)`, the
     smallest `ppt.dual_bound` of φ̂ over the set's fixed dual points (the
     paper's `ppt.supporting_dual(φ̂, σ̂)`, the set's default point and
-    B = 0) and Newton's Π_PSD(Z) when Newton finished, minus Tr[φ̂σ̂], plus
-    the rounding of the value and the gap. `ppt.verify_minimum` applies the
-    same test, with its own φ̂, to any anchor.
+    B = 0), minus Tr[φ̂σ̂], plus the rounding of the value and the gap.
+    `ppt.verify_minimum` applies the same test, with its own φ̂, to any anchor.
     By convexity the minimum lies in [value - cert_gap, value] whenever σ̂ is
     feasible. CONVERGED means exactly that: σ̂ is feasible within TOL_FEAS
     and ``cert_gap`` is at most CERT_TOL.
@@ -600,11 +595,10 @@ def minimize_ree(
         g = -_log_derivative(np.clip(w, EIG_FLOOR, None), v, r)
         return (g + g.conj().T) / 2
 
-    def certify(x, duals):
+    def certify(x):
         # x moved exactly onto the set when it is feasible within TOL_FEAS
         # (else left as it is), its objective f, Tr[φ̂x] with φ̂ = L_x(ρ), the
-        # first-order gap, `certified_max` with ``duals`` as its extra points
-        # minus Tr[φ̂x], and whether x is feasible.
+        # first-order gap `certified_max` - Tr[φ̂x], and whether x is feasible.
         shifted, residual = _shift_feasible(x, dims, set_tag)
         feasible = residual <= TOL_FEAS
         if feasible:
@@ -612,7 +606,7 @@ def minimize_ree(
         f, cache = evaluate(x)
         phi = -gradient(cache)
         anchor = float(np.vdot(phi, x).real)
-        gap = certified_max(hermitian(phi, dims), hermitian(x, dims), set_tag, duals)[0] - anchor
+        gap = certified_max(hermitian(phi, dims), hermitian(x, dims), set_tag)[0] - anchor
         return x, f, anchor, gap, feasible
 
     # Any feasible point upper-bounds the minimum: the pool is compared again
@@ -630,23 +624,30 @@ def minimize_ree(
     trace = [f]
     iterations = backtracks = projection_iters = projections_capped = 0
     mult = None
+    prox = _prox(set_tag)
 
-    def newton_from(cache, z):
-        # Newton from an SPG iterate's cache, kept only when its point is
-        # feasible and certified to GAP_STOP with Π_PSD(Z) among the duals.
-        out = _newton_ppt(rho_m, cache, z, dims)
+    def newton_from(cache):
+        # Newton from a point's cache, kept only when its point is feasible
+        # and certified to GAP_STOP.
+        out = _newton(rho_m, cache, dims, prox)
         if out is None:
             return None
-        x, z, steps = out
-        duals = [_clip_psd(z)]
-        cert = certify(x, duals)
+        x, steps = out
+        cert = certify(x)
         *_, gap, feasible = cert
         if not feasible or gap > GAP_STOP:
             return None
-        return cert, duals, steps
+        return cert, steps
 
-    newton = tried_at = None
+    # Newton's first attempt comes at once from a warm pool member, and after
+    # NEWTON_AFTER iterations from the maximally mixed state.
+    first = NEWTON_AFTER if start == 0 else 0
+    newton = tried = None
     for k in range(cfg.max_iters):
+        if k == first:
+            newton, tried = newton_from(cache), cache
+            if newton is not None:
+                break
         iterations = k + 1
         # One projection per iteration, warm-started from the last multiplier
         # rescaled to this step (optimal multipliers are proportional to t);
@@ -683,17 +684,12 @@ def minimize_ree(
         t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
         if np.sqrt(ss) <= TOL_GRAD and k >= 2:
             break
-        if set_tag == "PPT" and iterations == NEWTON_AFTER:
-            newton, tried_at = newton_from(cache, mult / t_mult), iterations
-            if newton is not None:
-                break
     # One more attempt where SPG stopped, unless that is where the first was.
-    retry = iterations >= NEWTON_AFTER and iterations != tried_at
-    if set_tag == "PPT" and newton is None and retry:
-        newton = newton_from(cache, mult / t_mult)
-    duals, newton_steps = [], 0
+    if newton is None and iterations >= first and cache is not tried:
+        newton = newton_from(cache)
+    newton_steps = 0
     if newton is not None:
-        cert, duals, newton_steps = newton
+        cert, newton_steps = newton
         f = cert[1]
         trace.append(f)
 
@@ -701,9 +697,9 @@ def minimize_ree(
     # certify leaves an infeasible winner where it is, and it is refused below.
     i = min(range(len(pool)), key=pool_values.__getitem__)
     if pool_values[i] < f:
-        cert = certify(pool[i], duals)
+        cert = certify(pool[i])
     elif newton is None:
-        cert = certify(sigma, duals)
+        cert = certify(sigma)
     sigma, _, anchor, gap, feasible = cert
 
     sigma_h = hermitian(sigma, dims)

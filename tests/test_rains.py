@@ -276,7 +276,7 @@ class TestQubitEqualityAudit:
         # certified optimum, and the Rains solve starts at the REE minimizer
         # offered as its extra candidate, so the gap passes the bar and only
         # the status count can refuse the audit.
-        monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         report = qubit_equality_audit((2, 3), 5, 0, SolverConfig(max_iters=12))
         assert report.max_gap < 5e-4
         assert report.nonconverged > 0

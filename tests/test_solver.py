@@ -30,10 +30,11 @@ from entbound.solver import (
     PROJ_FEAS,
     _coords,
     _hermitian_basis,
-    _ppt_newton_step,
-    _ppt_residual,
+    _newton_step,
     _project,
+    _prox,
     _project_simplex,
+    _residual,
     _shift_feasible,
     _spectral,
 )
@@ -287,7 +288,7 @@ class TestStatus:
         # iteration each fall short of P, and the iterates leave it. Newton,
         # which needs no projection, would end at the certified minimizer
         # instead, so it is declined here.
-        monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         rho = random_state(dims, np.random.default_rng(1))
         res = minimize_ree(rho, "PPT", SolverConfig(projection_iters=1))
         assert ppt_infeasibility(res.sigma_hat.mat, dims) > 1e-3
@@ -372,7 +373,10 @@ class TestVerifiersAgreeWithTheSolver:
     def test_npt_ginibre_draws(self, dims):
         for rho in npt_draws(dims, 10):
             ep = minimize_ree(rho, "PPT")
-            self.check(rho, ep, minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat]))
+            rb = minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
+            assert rb.status == "CONVERGED"
+            assert rb.cert_gap <= 1e-10
+            self.check(rho, ep, rb)
 
     def test_antisymmetric_werner(self, werner_solves):
         _, rho, ep, rb = werner_solves
@@ -403,23 +407,42 @@ class TestNewton:
             assert res.newton_steps > 0
             assert np.linalg.eigvalsh(res.sigma_hat.pt.mat)[0] >= -1e-15
 
+    def test_damped_start_finishes_at_the_first_attempt(self):
+        # From the third SPG iterate the multiplier 1 - L_σ(ρ)^Γ is still far
+        # off, and on this draw Newton damps its steps for a while before it
+        # converges; the attempt must not run out of steps, or SPG runs on
+        # for hundreds of iterations.
+        res = minimize_ree(npt_draws((3, 3), 14)[13], "PPT")
+        assert res.iterations == NEWTON_AFTER
+        assert res.cert_gap <= 1e-10
+
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
-    def test_step_solves_the_linearized_system(self, dims):
-        # J(dσ, dZ) = -(f1, f2) for arbitrary right-hand sides, with J checked
-        # by central differences of the residual F along (dσ, dZ).
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_step_solves_the_linearized_system(self, dims, set_tag):
+        # J[dσ] = -f for an arbitrary right-hand side, with J checked by
+        # central differences of the residual F along dσ.
         rng = np.random.default_rng(5)
         rho = random_state(dims, rng).mat
         sigma = random_state(dims, rng).mat
-        z = random_hermitian(dims, rng).mat
-        parts = _ppt_residual(_spectral(rho, sigma), z, dims)[2]
-        f1, f2 = (random_hermitian(dims, rng).mat for _ in range(2))
-        d_sigma, d_z = _ppt_newton_step(parts, f1, f2, dims)
-        h = 1e-4 / max(np.linalg.norm(d_sigma), np.linalg.norm(d_z))
-        plus = _ppt_residual(_spectral(rho, sigma + h * d_sigma), z + h * d_z, dims)
-        minus = _ppt_residual(_spectral(rho, sigma - h * d_sigma), z - h * d_z, dims)
-        for k, f in enumerate((f1, f2)):
-            fd = (plus[k] - minus[k]) / (2 * h)
-            assert np.linalg.norm(fd + f) <= 1e-6 * np.linalg.norm(f)
+        prox = _prox(set_tag)
+        parts = _residual(_spectral(rho, sigma), dims, prox)[1]
+        f = random_hermitian(dims, rng).mat
+        d_sigma = _newton_step(parts, f, dims, prox)
+        h = 1e-4 / np.linalg.norm(d_sigma)
+        plus = _residual(_spectral(rho, sigma + h * d_sigma), dims, prox)[0]
+        minus = _residual(_spectral(rho, sigma - h * d_sigma), dims, prox)[0]
+        fd = (plus - minus) / (2 * h)
+        assert np.linalg.norm(fd + f) <= 1e-6 * np.linalg.norm(f)
+
+    def test_rains_solve_from_the_ree_minimizer_needs_no_spg(self):
+        # Newton's first attempt comes at once from a warm start, and with a
+        # qubit side the REE minimizer already solves the Rains system.
+        rho = random_state((2, 3), np.random.default_rng(0))
+        ep = minimize_ree(rho, "PPT")
+        rb = minimize_ree(rho, "RAINS_T", extra_candidates=[ep.sigma_hat])
+        assert rb.status == "CONVERGED"
+        assert rb.cert_gap <= 1e-10
+        assert (rb.iterations, rb.projection_iters) == (0, 0)
 
     def test_cached_basis_is_read_only(self):
         # Every Newton step of order n shares one basis; a write would corrupt them all.
@@ -434,17 +457,17 @@ class TestNewton:
         # the log-domain system: Newton declines and SPG's result stands.
         rho = random_state((2, 2), np.random.default_rng(0), rank=1)
         attempts = []
-        original = solver._newton_ppt
+        original = solver._newton
 
         def counted(*args):
             attempts.append(None)
             return original(*args)
 
-        monkeypatch.setattr(solver, "_newton_ppt", counted)
+        monkeypatch.setattr(solver, "_newton", counted)
         res = minimize_ree(rho, "PPT")
         assert 1 <= len(attempts) <= 2
         assert res.newton_steps == 0
-        monkeypatch.setattr(solver, "_newton_ppt", lambda *args: None)
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         spg = minimize_ree(rho, "PPT")
         assert np.array_equal(res.sigma_hat.mat, spg.sigma_hat.mat)
         assert (res.value, res.cert_gap, res.status, res.iterations) == (
@@ -519,7 +542,11 @@ class TestProjectionCount:
     @pytest.mark.parametrize("kind", ["family", "ginibre"])
     def test_one_projection_per_iteration(self, monkeypatch, set_tag, kind):
         # Armijo backtracks along the projected segment, so a trial step
-        # costs one objective evaluation and no projection.
+        # costs one objective evaluation and no projection. A Rains solve
+        # starts warm at ρ/‖ρ^Γ‖₁, where Newton would finish it before any
+        # SPG iteration, so Newton is declined there.
+        if set_tag == "RAINS_T":
+            monkeypatch.setattr(solver, "_newton", lambda *args: None)
         if kind == "family":
             fam = _family(random_boundary_state((2, 3), 1))
             rho = fam.state(fam.x_max / 2)
