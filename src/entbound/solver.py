@@ -40,9 +40,13 @@ Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
 Wen, Goldfarb & Yin, Math. Prog. Comp. 2, 203 (2010)) on the splitting
 Y = X^Γ, with X in the unit-trace PSD set and Y in the PSD cone (PPT set) or
-X in the PSD cone and Y in the trace-norm unit ball (Rains set). Its scaled
-multiplier is a dual point, so every iterate brackets the maximum between a
-feasible value and a weak-duality bound, without a projection.
+X in the PSD cone and Y in the trace-norm unit ball (Rains set). Its penalty
+ρ follows residual balancing (Boyd, Parikh, Chu, Peleato & Eckstein, Found.
+Trends Mach. Learn. 3, 1 (2011), §3.4.1; He, Yang & Wang, J. Optim. Theory
+Appl. 106, 337 (2000)), and its multiplier ρU is a dual point, B = -ρU on the
+PPT set and B = ρU on the Rains set, so an iterate brackets the maximum
+between a feasible value and a weak-duality bound, without a projection.
+That certificate is taken on a schedule, not every iteration.
 
 Both solvers certify their results with one bound, `ppt.dual_bound`.
 ``minimize_ree`` takes it at the dual points `ppt.certified_max` fixes per
@@ -51,8 +55,9 @@ supporting form at the result, `ppt.supporting_dual`); ``maximize_linear``
 at its ADMM multiplier. `SolverConfig` holds only the two iteration caps;
 the step and tolerance settings are the module constants STEP_INIT,
 ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's PROJ_FEAS,
-COLD_COMPLEMENTARITY and PROJ_STATIONARY, and Newton's NEWTON_AFTER,
-NEWTON_STEPS and NEWTON_TOL.
+COLD_COMPLEMENTARITY and PROJ_STATIONARY, Newton's NEWTON_AFTER,
+NEWTON_STEPS and NEWTON_TOL, and ADMM's GAP_STOP, PENALTY_BALANCE,
+PENALTY_STEP and CERT_EVERY.
 """
 
 from __future__ import annotations
@@ -116,6 +121,22 @@ PROJ_STATIONARY = 1e-10
 NEWTON_AFTER = 3
 NEWTON_STEPS = 20
 NEWTON_TOL = 1e-13
+# maximize_linear balances its ADMM residuals (Boyd et al. 2011, §3.4.1):
+# when the primal residual ‖X^Γ - Y‖ exceeds the dual residual ρ‖Y - Y_prev‖
+# by more than the factor PENALTY_BALANCE, the penalty ρ is multiplied by
+# PENALTY_STEP, and when the dual residual exceeds the primal one by that
+# factor it is divided; the scaled multiplier U moves inversely, so the dual
+# point ρU stays put. Over Ginibre, uniform-spectrum and pure-state effects
+# (2×2, 2×3, 3×3 and 2×4, both sets) 3 and 3 take about a quarter fewer
+# iterations than the textbook 10 and 2, and steps of 4 or 5 only 3-4% fewer.
+PENALTY_BALANCE = 3.0
+PENALTY_STEP = 3.0
+# maximize_linear evaluates its certificate (two or three eigendecompositions
+# against the two of an iteration) on iteration 1, then every CERT_EVERY
+# iterations, and on its last iteration; of 1, 2, 4 and 8, 4 and 8 ran the
+# linear benchmark's operations fastest (within 1% of each other, 10% ahead of
+# 2), and 4 overshoots the first certifiable iterate by fewer iterations.
+CERT_EVERY = 4
 
 
 @dataclass(frozen=True)
@@ -742,16 +763,18 @@ def _polish_to_boundary(sigma: np.ndarray, dims: tuple[int, int]) -> np.ndarray 
     On x(t) = (1 - t)·1/n + t·σ the smallest PT eigenvalue is
     (1 - t)/n + t·λmin(σ^Γ), which vanishes at t* = 1/(1 - n·λmin(σ^Γ)).
     When σ is not PPT, t* < 1 and x(t*) is a mixture of two states, so it is
-    PSD; when t* > 1 its PSD-ness is checked. None when σ^Γ ⪰ 1/n (no
-    boundary on the ray) or when x(t*) is not PSD.
+    PSD; when t* > 1 its PSD-ness is checked. None when x(t*) is not PSD, and
+    when t* > PROJ_FEAS/eps: x(t*) carries about t*·eps of rounding, so σ^Γ
+    then lies within rounding of 1/n (or above it, with no boundary on the
+    ray) and the boundary point rounding would pick is noise.
     """
     n = sigma.shape[0]
     lam_pt = float(np.linalg.eigvalsh(partial_transpose_array(sigma, dims))[0])
-    if lam_pt >= 1.0 / n:
+    if 1.0 - n * lam_pt <= np.finfo(float).eps / PROJ_FEAS:
         return None
     t = 1.0 / (1.0 - n * lam_pt)
     x = (1.0 - t) * np.eye(n, dtype=complex) / n + t * sigma
-    if t > 1.0 and float(np.linalg.eigvalsh(x)[0]) < -1e-11:
+    if t > 1.0 and float(np.linalg.eigvalsh(x)[0]) < -PROJ_FEAS:
         return None
     return x
 
@@ -766,21 +789,27 @@ def maximize_linear(
     ADMM on the semidefinite program: X lies in C1 and Y = X^Γ in C2, where
     C1 is the spectraplex {X ⪰ 0, Tr X = 1} and C2 the PSD cone for the PPT
     set, and C1 is the PSD cone and C2 the trace-norm unit ball for the Rains
-    set. With scaled multiplier U and penalty 1, each iteration is
-    X ← Π_C1((Y - U)^Γ + M), Y ← Π_C2(X^Γ + U), U ← U + X^Γ - Y; every
-    projection is one eigendecomposition and a closed-form step on its
-    eigenvalues.
+    set. With scaled multiplier U and penalty ρ (1 at the start), each
+    iteration is X ← Π_C1((Y - U)^Γ + M/ρ), Y ← Π_C2(X^Γ + U),
+    U ← U + X^Γ - Y; every projection is one eigendecomposition and a
+    closed-form step on its eigenvalues. After it, the primal residual
+    r = ‖X^Γ - Y‖_F and the dual residual s = ρ‖Y - Y_prev‖_F are balanced:
+    when r > PENALTY_BALANCE·s, ρ is multiplied by PENALTY_STEP and U divided
+    by it; when s > PENALTY_BALANCE·r, the other way round.
 
-    U is a dual point, and `ppt.dual_bound` turns it into an upper bound on
-    the maximum: at B = -U for the PPT set, which is PSD because the Y step
-    leaves U the negative part of X^Γ + U, and at B = U for the Rains set.
+    ρU is a dual point, and `ppt.dual_bound` turns it into an upper bound on
+    the maximum: at B = -ρU for the PPT set, which is PSD because the Y step
+    leaves U the negative part of X^Γ + U, and at B = ρU for the Rains set.
     The feasible σ̂ is X moved onto the PPT boundary along the ray
     from the maximally mixed state (X itself when the ray has no boundary
     point) for the PPT set, and X / max(1, ‖X^Γ‖₁) for the Rains set.
     ``value`` is Tr[Mσ̂] and ``gap`` the bound minus ``value``, so the maximum
-    lies in [value, value + gap]. The loop stops once the gap is at most
-    GAP_STOP or after ``config.max_iters`` iterations. CONVERGED means σ̂ is
-    feasible within TOL_FEAS and the gap is at most 1e-6. For the
+    lies in [value, value + gap]. This certificate is evaluated on iteration
+    1, then every CERT_EVERY iterations, and on iteration ``config.max_iters``,
+    so it always belongs to the returned iterate. The loop stops at a
+    certificate with gap at most GAP_STOP, or after ``config.max_iters``
+    iterations. CONVERGED means σ̂ is feasible within TOL_FEAS and the gap is
+    at most 1e-6. For the
     PPT set the supporting functional at σ̂ is attached when σ̂ lies on the
     boundary.
     """
@@ -815,16 +844,28 @@ def maximize_linear(
 
     y = np.eye(n, dtype=complex) / n
     u = np.zeros((n, n), dtype=complex)
+    penalty = 1.0
     for iterations in range(1, cfg.max_iters + 1):
-        x = project_x(pt(y - u) + mm)
-        z = pt(x) + u
-        y = project_y(z)
+        x = project_x(pt(y - u) + mm / penalty)
+        x_pt = pt(x)
+        z = x_pt + u
+        y_prev, y = y, project_y(z)
         u = z - y
-        sigma = feasible(x)
-        value = float(np.vdot(mm, sigma).real)
-        gap = dual_bound(mm, dims, set_tag, -u if set_tag == "PPT" else u) - value
-        if gap <= GAP_STOP:
-            break
+        if (iterations - 1) % CERT_EVERY == 0 or iterations == cfg.max_iters:
+            sigma = feasible(x)
+            value = float(np.vdot(mm, sigma).real)
+            b = -penalty * u if set_tag == "PPT" else penalty * u
+            gap = dual_bound(mm, dims, set_tag, b) - value
+            if gap <= GAP_STOP:
+                break
+        primal_res = np.linalg.norm(x_pt - y)
+        dual_res = penalty * np.linalg.norm(y - y_prev)
+        if primal_res > PENALTY_BALANCE * dual_res:
+            penalty *= PENALTY_STEP
+            u /= PENALTY_STEP
+        elif dual_res > PENALTY_BALANCE * primal_res:
+            penalty /= PENALTY_STEP
+            u *= PENALTY_STEP
 
     sigma_h = hermitian(sigma, dims)
     certificate = None

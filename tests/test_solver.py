@@ -596,16 +596,54 @@ class TestMaximizeLinear:
         assert res.iterations <= 2
         assert res.status == "CONVERGED"
 
+    @pytest.mark.parametrize("dims", [(2, 3), (3, 3)], ids=["2x3", "3x3"])
+    @pytest.mark.parametrize("scale", [0.0, 1.0])
+    def test_constant_effect_keeps_the_maximally_mixed_state(self, scale, dims):
+        # M = 0 and M = 1 leave every iterate within rounding of 1/n, where the
+        # ray to the boundary is noise; σ̂ must stay the state 1/n.
+        n = dims[0] * dims[1]
+        res = maximize_linear(hermitian(scale * np.eye(n), dims))
+        assert res.status == "CONVERGED"
+        assert res.value == pytest.approx(scale, abs=1e-12)
+        assert np.allclose(res.sigma_hat.mat, np.eye(n) / n, atol=1e-12)
+
     @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
-    def test_iteration_cap_is_nonconverged_with_valid_bracket(self, set_tag):
+    @pytest.mark.parametrize("max_iters", [1, 2, 3, 5])
+    def test_iteration_cap_is_nonconverged_with_valid_bracket(
+        self, max_iters, set_tag, monkeypatch
+    ):
+        # Caps 2, 3 and 5 fall between scheduled certificates; the last
+        # iteration is certified all the same.
         m = ginibre_effect((2, 2), 3)
-        res = maximize_linear(m, SolverConfig(max_iters=2), set_tag=set_tag)
         full = maximize_linear(m, set_tag=set_tag)
-        assert res.iterations == 2
+        calls = []
+        original = solver.dual_bound
+
+        def counted(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(solver, "dual_bound", counted)
+        res = maximize_linear(m, SolverConfig(max_iters=max_iters), set_tag=set_tag)
+        scheduled = set(range(1, max_iters + 1, solver.CERT_EVERY)) | {max_iters}
+        assert len(calls) == len(scheduled)
+        assert res.iterations == max_iters
         assert res.status == "NONCONVERGED"
         assert np.isfinite(res.gap) and res.gap >= 0.0
         assert res.value <= full.value + 1e-10
         assert res.value + res.gap >= full.value + full.gap - 1e-10
+
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    @pytest.mark.parametrize("dims, seed", [((3, 3), 11), ((2, 4), 38)], ids=["3x3-11", "2x4-38"])
+    def test_slow_tail_effects_are_certified(self, dims, seed, set_tag):
+        # Slow ADMM tails: at a fixed penalty of 1 both sets stop at the
+        # 400-iteration cap with gaps of 4e-5 to 7e-5.
+        res = maximize_linear(ginibre_effect(dims, seed), set_tag=set_tag)
+        infeasibility = ppt_infeasibility if set_tag == "PPT" else t_infeasibility
+        assert res.status == "CONVERGED"
+        assert res.gap <= solver.GAP_STOP
+        assert infeasibility(res.sigma_hat.mat, dims) <= solver.TOL_FEAS
+        assert res.iterations < 200
 
     @pytest.mark.parametrize("make_m, expected", RAINS_MAXIMA)
     def test_rains_result_is_feasible_and_certified(self, make_m, expected):
