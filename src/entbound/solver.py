@@ -21,20 +21,19 @@ t·g = B^Γ - μ·1 + Z (PPT set; the Rains set alike), with every multiplier in
 a cone, so the optimal multipliers are proportional to t, and the
 Barzilai-Borwein step changes by orders of magnitude between iterations.
 
-Semismooth Newton finishes the solve on the optimality system of the
-paper's converse theorem, one equation in σ alone for both sets: σ
-minimizes S(ρ‖·) iff φ̂ = L_σ(ρ) has the set's supporting form at σ, which
-is the natural-map equation F(σ) = σ^Γ - prox(σ^Γ + φ̂^Γ) = 0 of the set's
-prox (`_newton`; Zinchenko, Friedland & Gour, Phys. Rev. A 82, 052336
-(2010) solve the REE from the same conditions). Its first attempt comes at
-once from a warm start, and after NEWTON_AFTER iterations from the
-maximally mixed state. Its point is kept only when the certificate the
+Semismooth Newton solves the optimality system of the paper's converse
+theorem, one equation in σ alone for both sets: σ minimizes S(ρ‖·) iff
+φ̂ = L_σ(ρ) has the set's supporting form at σ, which is the natural-map
+equation F(σ) = σ^Γ - prox(σ^Γ + φ̂^Γ) = 0 of the set's prox (`_newton`;
+Zinchenko, Friedland & Gour, Phys. Rev. A 82, 052336 (2010) solve the REE
+from the same conditions). Every solve starts at the best feasible member
+of its candidate pool, which holds ρ's own point on the set, and Newton
+runs at once from there. Its point is kept only when the certificate the
 result reports finds it feasible and within GAP_STOP of optimal. Otherwise
-SPG goes on unchanged, and Newton gets one more attempt where SPG stops.
+SPG runs as the fallback, and Newton gets one more attempt where SPG stops.
 Rank-deficient minimizers are outside the domain of log, so there Newton
-declines and SPG's result stands. Every solve starts at the best feasible
-member of its candidate pool, and the library's Rains solves put the REE
-minimizer in it.
+declines and SPG's result stands. The library's Rains solves put the REE
+minimizer in the pool.
 
 Linear objectives are a small semidefinite program of their own:
 ``maximize_linear`` runs ADMM (alternating direction method of multipliers;
@@ -55,9 +54,9 @@ supporting form at the result, `ppt.supporting_dual`); ``maximize_linear``
 at its ADMM multiplier. `SolverConfig` holds only the two iteration caps;
 the step and tolerance settings are the module constants STEP_INIT,
 ARMIJO_BETA, TOL_GRAD, TOL_FEAS, the projection's PROJ_FEAS,
-COLD_COMPLEMENTARITY and PROJ_STATIONARY, Newton's NEWTON_AFTER,
-NEWTON_STEPS and NEWTON_TOL, and ADMM's GAP_STOP, PENALTY_BALANCE,
-PENALTY_STEP and CERT_EVERY.
+COLD_COMPLEMENTARITY and PROJ_STATIONARY, Newton's NEWTON_STEPS and
+NEWTON_TOL, and ADMM's GAP_STOP, PENALTY_BALANCE, PENALTY_STEP and
+CERT_EVERY.
 """
 
 from __future__ import annotations
@@ -114,11 +113,11 @@ COLD_COMPLEMENTARITY = 1e-14
 # output that moved at most this since the last inner iteration is accepted:
 # a decade below TOL_GRAD, the smallest solver step that does not end a solve.
 PROJ_STATIONARY = 1e-10
-# minimize_ree tries semismooth Newton at a warm start or after this many SPG
-# iterations from 1/n, and once more when SPG stops, each attempt at most
-# NEWTON_STEPS steps (from the third SPG iterate its first steps may be
-# damped); Newton stops early once ‖F‖ is at most NEWTON_TOL.
-NEWTON_AFTER = 3
+# minimize_ree tries semismooth Newton at its start and once more when SPG
+# stops, each attempt at most NEWTON_STEPS steps; Newton stops early once ‖F‖
+# is at most NEWTON_TOL. From ρ's own point on P, the benchmark's forward
+# PPT solves (1 080, seed 1 rounds 0-119) took 4-20 steps, median 6 and 20
+# past 13; one ran out at ‖F‖ = 3e-10 and fell back to SPG.
 NEWTON_STEPS = 20
 NEWTON_TOL = 1e-13
 # maximize_linear balances its ADMM residuals (Boyd et al. 2011, §3.4.1):
@@ -519,7 +518,7 @@ class SolveResult:
     sigma_hat: HermitianMatrix
     value: float
     status: str  # "CONVERGED" | "NONCONVERGED"
-    iterations: int  # SPG iterations; 0 when Newton certifies a warm start
+    iterations: int  # SPG iterations; 0 when Newton certifies the start
     cert_gap: float
     objective_trace: list = field(default_factory=list)
     projection_iters: int = 0  # inner projection iterations, summed over the solve
@@ -536,14 +535,24 @@ def minimize_ree(
 ) -> SolveResult:
     """Minimize S(ρ‖σ) over the PPT set ("PPT") or the Rains set ("RAINS_T").
 
-    Spectral projected gradient, finished by semismooth Newton. The
-    candidate pool is the maximally mixed state, the
-    ``extra_candidates`` and, for the Rains set, ρ/‖ρ^Γ‖₁; every solve
+    Semismooth Newton, with spectral projected gradient as the fallback.
+    The candidate pool is the maximally mixed state, the
+    ``extra_candidates`` and ρ's own point on the set: ρ/‖ρ^Γ‖₁ for the
+    Rains set, and for the PPT set `_shift_feasible(ρ)`, ρ itself when it
+    is PPT and else its mixture with 1/n on the PT boundary. Every solve
     starts from its lowest-objective member that is feasible within
     TOL_FEAS. (P ⊂ T, so the REE minimizer passed as a candidate is a
     feasible Rains start, and an optimal one when a side is a qubit.)
 
-    Each iteration computes d = Π(σ - t·g) - σ, one projection of the
+    `_newton` runs once from that start. Its point ends the solve only
+    when the result's own certificate (below) finds it feasible within
+    TOL_FEAS with a gap of at most GAP_STOP; the accepted point is returned
+    with that certificate, as computed, and ``iterations`` is 0. Otherwise
+    SPG runs from the start, and `_newton` runs once more where SPG stops,
+    if SPG moved; a declined attempt leaves the solve exactly as SPG alone
+    runs it. ``newton_steps`` counts the steps of the accepted attempt.
+
+    Each SPG iteration computes d = Π(σ - t·g) - σ, one projection of the
     Barzilai-Borwein step t, and backtracks α ← ARMIJO_BETA·α from α = 1
     on σ + α·d until f(σ + α·d) ≤ f(σ) - 1e-4·α·⟨g, -d⟩, with g the
     gradient at σ; a trial is one objective evaluation, never a projection.
@@ -558,16 +567,6 @@ def minimize_ree(
     its inner iterations over the solve, ``projections_capped`` counts the
     projections that ran out of ``config.projection_iters``, and
     ``backtracks`` counts the rejected Armijo trials.
-
-    `_newton` runs at once from a warm start (any pool member but the
-    maximally mixed state), and after NEWTON_AFTER iterations from the
-    maximally mixed state; it runs once more where SPG stops, if SPG moved.
-    Its point replaces the iterate and ends the solve only when the result's
-    own certificate (below) finds it feasible within TOL_FEAS with a gap of
-    at most GAP_STOP; the accepted point is returned with that certificate,
-    as computed. A declined attempt leaves the solve exactly as SPG alone
-    runs it. ``newton_steps`` counts the steps of the accepted attempt, and
-    ``iterations`` is 0 when Newton certifies a warm start.
 
     One step certifies every result. A result feasible within TOL_FEAS is
     shifted exactly onto the set by `_shift_feasible` before its value is
@@ -635,16 +634,15 @@ def minimize_ree(
     pool = [np.eye(n, dtype=complex) / n] + [c.mat for c in extra_candidates or []]
     if set_tag == "RAINS_T":
         pool.append(rho_m / trace_norm(rho.pt))
+    else:
+        pool.append(_shift_feasible(rho_m, dims, set_tag)[0])
     pool_evals = [evaluate(m) for m in pool]
     pool_values = [e[0] for e in pool_evals]
     starts = [i for i, m in enumerate(pool) if _shift_feasible(m, dims, set_tag)[1] <= TOL_FEAS]
     start = min(starts, key=pool_values.__getitem__)
     sigma, (f, cache) = pool[start], pool_evals[start]
-    g = gradient(cache)
-    t = STEP_INIT / max(1.0, float(np.linalg.norm(g)))
     trace = [f]
     iterations = backtracks = projection_iters = projections_capped = 0
-    mult = None
     prox = _prox(set_tag)
 
     def newton_from(cache):
@@ -660,54 +658,52 @@ def minimize_ree(
             return None
         return cert, steps
 
-    # Newton's first attempt comes at once from a warm pool member, and after
-    # NEWTON_AFTER iterations from the maximally mixed state.
-    first = NEWTON_AFTER if start == 0 else 0
-    newton = tried = None
-    for k in range(cfg.max_iters):
-        if k == first:
-            newton, tried = newton_from(cache), cache
-            if newton is not None:
+    # Newton runs at once from the start; SPG runs only when it declines.
+    newton = newton_from(cache)
+    if newton is None:
+        g = gradient(cache)
+        t = STEP_INIT / max(1.0, float(np.linalg.norm(g)))
+        mult = None
+        for k in range(cfg.max_iters):
+            iterations = k + 1
+            # One projection per iteration, warm-started from the last multiplier
+            # rescaled to this step (optimal multipliers are proportional to t);
+            # every point of the segment from sigma to it is feasible by convexity.
+            if mult is not None:
+                mult = mult * (t / t_mult)
+            x, mult, inner, capped = _project(
+                sigma - t * g, dims, set_tag, cfg.projection_iters, mult, sigma
+            )
+            t_mult = t
+            projection_iters += inner
+            projections_capped += capped
+            d = x - sigma
+            decrease = float(np.vdot(g, -d).real)
+            accepted = False
+            alpha = 1.0
+            while alpha * t >= 1e-12:
+                cand = sigma + alpha * d
+                fc, cand_cache = evaluate(cand)
+                if fc <= f - 1e-4 * alpha * decrease + 1e-15:
+                    accepted = True
+                    break
+                alpha *= ARMIJO_BETA
+                backtracks += 1
+            if not accepted:
                 break
-        iterations = k + 1
-        # One projection per iteration, warm-started from the last multiplier
-        # rescaled to this step (optimal multipliers are proportional to t);
-        # every point of the segment from sigma to it is feasible by convexity.
-        if mult is not None:
-            mult = mult * (t / t_mult)
-        x, mult, inner, capped = _project(
-            sigma - t * g, dims, set_tag, cfg.projection_iters, mult, sigma
-        )
-        t_mult = t
-        projection_iters += inner
-        projections_capped += capped
-        d = x - sigma
-        decrease = float(np.vdot(g, -d).real)
-        accepted = False
-        alpha = 1.0
-        while alpha * t >= 1e-12:
-            cand = sigma + alpha * d
-            fc, cand_cache = evaluate(cand)
-            if fc <= f - 1e-4 * alpha * decrease + 1e-15:
-                accepted = True
+            s = cand - sigma
+            g_new = gradient(cand_cache)
+            y = g_new - g
+            ss = float(np.vdot(s, s).real)
+            sy = float(np.vdot(s, y).real)
+            sigma, f, g, cache = cand, fc, g_new, cand_cache
+            trace.append(f)
+            t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
+            if np.sqrt(ss) <= TOL_GRAD and k >= 2:
                 break
-            alpha *= ARMIJO_BETA
-            backtracks += 1
-        if not accepted:
-            break
-        s = cand - sigma
-        g_new = gradient(cand_cache)
-        y = g_new - g
-        ss = float(np.vdot(s, s).real)
-        sy = float(np.vdot(s, y).real)
-        sigma, f, g, cache = cand, fc, g_new, cand_cache
-        trace.append(f)
-        t = min(max(ss / sy, 1e-8), 1e8) if sy > 1e-18 else min(alpha * t * 4.0, 1e8)
-        if np.sqrt(ss) <= TOL_GRAD and k >= 2:
-            break
-    # One more attempt where SPG stopped, unless that is where the first was.
-    if newton is None and iterations >= first and cache is not tried:
-        newton = newton_from(cache)
+        # One more attempt where SPG stopped, if SPG moved.
+        if len(trace) > 1:
+            newton = newton_from(cache)
     newton_steps = 0
     if newton is not None:
         cert, newton_steps = newton

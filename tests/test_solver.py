@@ -26,7 +26,6 @@ from entbound import (
 from entbound import solver
 from entbound.solver import (
     CERT_TOL,
-    NEWTON_AFTER,
     PROJ_FEAS,
     _coords,
     _hermitian_basis,
@@ -213,7 +212,9 @@ class TestMinimizeRee:
         assert np.linalg.norm(res.sigma_hat.mat - anchor.mat) < 1e-3
         assert abs(res.value - ree_closed_form(fam, 1.5)) < 2e-4
 
-    def test_monotone_descent(self, rng):
+    def test_monotone_descent(self, monkeypatch, rng):
+        # Newton would certify the start at once; declined, SPG runs the solve.
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         rho = random_state((2, 3), rng)
         res = minimize_ree(rho, "PPT")
         trace = res.objective_trace
@@ -271,11 +272,12 @@ class TestAntisymmetricWerner:
 
 class TestStatus:
     @pytest.mark.parametrize("seed", [1, 2, 3])
-    def test_iteration_cap_short_of_optimum_is_nonconverged(self, seed):
+    def test_iteration_cap_short_of_optimum_is_nonconverged(self, monkeypatch, seed):
+        # Newton would certify the start at once, so it is declined here and
+        # two SPG iterations stay short.
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         fam = _family(random_boundary_state((3, 3), seed))
         x = fam.x_max / 2
-        # Newton runs only after NEWTON_AFTER iterations, so two stay short.
-        assert NEWTON_AFTER > 2
         res = minimize_ree(fam.state(x), "PPT", SolverConfig(max_iters=2))
         assert res.value - ree_closed_form(fam, x) > 1e-4
         assert res.cert_gap > CERT_TOL
@@ -294,7 +296,9 @@ class TestStatus:
         assert ppt_infeasibility(res.sigma_hat.mat, dims) > 1e-3
         assert res.status == "NONCONVERGED"
 
-    def test_projection_counters(self):
+    def test_projection_counters(self, monkeypatch):
+        # Newton, which needs no projection, is declined so that SPG runs.
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         rho = random_state((2, 3), np.random.default_rng(0))
         full = minimize_ree(rho, "PPT")
         assert full.projections_capped == 0
@@ -303,8 +307,10 @@ class TestStatus:
         assert capped.projections_capped > 0
         assert capped.iterations <= capped.projection_iters <= 2 * capped.iterations
 
-    def test_backtracks_counted(self):
-        # Ginibre 2x4 solves overshoot on their Barzilai-Borwein steps.
+    def test_backtracks_counted(self, monkeypatch):
+        # Ginibre 2x4 solves overshoot on their Barzilai-Borwein steps; Newton
+        # is declined so that SPG runs.
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         rho = random_state((2, 4), np.random.default_rng(0))
         res = minimize_ree(rho, "PPT")
         assert res.status == "CONVERGED"
@@ -407,14 +413,25 @@ class TestNewton:
             assert res.newton_steps > 0
             assert np.linalg.eigvalsh(res.sigma_hat.pt.mat)[0] >= -1e-15
 
-    def test_damped_start_finishes_at_the_first_attempt(self):
-        # From the third SPG iterate the multiplier 1 - L_σ(ρ)^Γ is still far
-        # off, and on this draw Newton damps its steps for a while before it
-        # converges; the attempt must not run out of steps, or SPG runs on
-        # for hundreds of iterations.
-        res = minimize_ree(npt_draws((3, 3), 14)[13], "PPT")
-        assert res.iterations == NEWTON_AFTER
-        assert res.cert_gap <= 1e-10
+    @pytest.mark.parametrize("dims", [(2, 3), (2, 4), (3, 3)])
+    @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
+    def test_full_rank_solves_finish_in_newton_from_the_pool(self, dims, set_tag):
+        # Newton runs at once from ρ's own point on the set, with no SPG
+        # iteration before it.
+        for rho in npt_draws(dims, 3):
+            res = minimize_ree(rho, set_tag)
+            assert res.status == "CONVERGED"
+            assert res.iterations == 0
+            assert res.cert_gap <= 1e-10
+
+    def test_ppt_input_is_its_own_minimizer(self):
+        # A PPT ρ is its own point in the pool. This one is singular, where
+        # SPG alone stops short of the minimum 0.
+        rho = project_P(random_state((2, 3), np.random.default_rng(1)))
+        res = minimize_ree(rho, "PPT")
+        assert res.status == "CONVERGED"
+        assert abs(res.value) <= 1e-14
+        assert np.array_equal(res.sigma_hat.mat, rho.mat)
 
     @pytest.mark.parametrize("dims", [(2, 2), (2, 3), (2, 4), (3, 3)])
     @pytest.mark.parametrize("set_tag", ["PPT", "RAINS_T"])
@@ -542,11 +559,10 @@ class TestProjectionCount:
     @pytest.mark.parametrize("kind", ["family", "ginibre"])
     def test_one_projection_per_iteration(self, monkeypatch, set_tag, kind):
         # Armijo backtracks along the projected segment, so a trial step
-        # costs one objective evaluation and no projection. A Rains solve
-        # starts warm at ρ/‖ρ^Γ‖₁, where Newton would finish it before any
-        # SPG iteration, so Newton is declined there.
-        if set_tag == "RAINS_T":
-            monkeypatch.setattr(solver, "_newton", lambda *args: None)
+        # costs one objective evaluation and no projection. Newton would
+        # finish the solve at its start before any SPG iteration, so it is
+        # declined.
+        monkeypatch.setattr(solver, "_newton", lambda *args: None)
         if kind == "family":
             fam = _family(random_boundary_state((2, 3), 1))
             rho = fam.state(fam.x_max / 2)
